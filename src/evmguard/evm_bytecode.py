@@ -14,8 +14,11 @@ member, so the normalized alphabet never contains 0x61-0x7f, 0x81-0x8f,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from importlib import resources
+from types import MappingProxyType
 
 from .errors import MalformedInputError, ParseError
 
@@ -32,14 +35,23 @@ _FAMILY_RANGES = (
 
 _HEX_DIGITS = set("0123456789abcdefABCDEF")
 
+_BYTE_TOKENS = tuple(f"{b:02x}" for b in range(256))
+
 
 @dataclass(frozen=True)
 class OpcodeTable:
-    """Instruction table: byte value -> (mnemonic, inline operand byte count)."""
+    """Instruction table: byte value -> (mnemonic, inline operand byte count).
 
-    entries: dict[int, tuple[str, int]]
+    Read-only once built: `entries` is a mapping proxy over a private copy,
+    so a table can be shared by every caller in the process.
+    """
+
+    entries: Mapping[int, tuple[str, int]]
+    # bytes consumed by an instruction starting with each byte value, 0 if unassigned
+    widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        widths = [0] * 256
         for byte, (mnemonic, operands) in self.entries.items():
             if not 0 <= byte <= 0xFF:
                 raise ParseError(f"byte value {byte:#x} out of range")
@@ -49,6 +61,9 @@ class OpcodeTable:
                 raise ParseError(
                     f"{mnemonic} ({byte:#04x}) must carry {byte - 0x60 + 1} operand bytes"
                 )
+            widths[byte] = 1 + operands
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        object.__setattr__(self, "widths", tuple(widths))
 
     def mnemonic(self, byte: int) -> str | None:
         entry = self.entries.get(byte)
@@ -90,8 +105,12 @@ def load_table(lines) -> OpcodeTable:
     return OpcodeTable(entries)
 
 
+@functools.cache
 def default_table() -> OpcodeTable:
-    """The instruction table shipped with the package (pinned revision)."""
+    """The instruction table shipped with the package (pinned revision).
+
+    Parsed once per process; every caller shares the same read-only table.
+    """
     text = resources.files("evmguard.data").joinpath("opcodes.txt").read_text()
     return load_table(text.splitlines())
 
@@ -123,14 +142,16 @@ def disassemble(raw: bytes, table: OpcodeTable | None = None) -> list[str]:
     """
     if table is None:
         table = default_table()
+    widths = table.widths
     tokens: list[str] = []
     i = 0
     n = len(raw)
     while i < n:
         byte = raw[i]
-        if byte in table:
-            tokens.append(f"{byte:02x}")
-            i += 1 + table.operand_count(byte)
+        width = widths[byte]
+        if width:
+            tokens.append(_BYTE_TOKENS[byte])
+            i += width
         else:
             tokens.append(INVALID_TOKEN)
             i += 1

@@ -9,7 +9,8 @@ All parameters and activations are 32-bit floats unless a caller builds
 the model with float64 blocks (the gradient tests do, for a quieter
 finite-difference comparison); the math is dtype-agnostic.
 
-GRU convention used everywhere here, with m the padding mask at step t:
+GRU convention used everywhere here, with m = 0 where the token id at
+step t is the padding id 0 and m = 1 elsewhere:
 
     z = sigmoid(x W_z + h U_z + b_z)
     r = sigmoid(x W_r + h U_r + b_r)
@@ -18,6 +19,16 @@ GRU convention used everywhere here, with m the padding mask at step t:
     h_next = m * h_new + (1 - m) * h
 
 One bias per gate; the update gate multiplies the previous state.
+sigmoid(x) is computed as 0.5 * (1 + tanh(x / 2)) everywhere.
+
+The blocks are stored per gate, but the scan runs on fused operands built
+once per call: the (vocab, 3h) table embedding [W_z|W_r|W_c] + [b_z|b_r|b_c],
+so a step's input projection is one row gather, and the recurrent kernel
+[U_z|U_r], so a step makes two matmuls, h [U_z|U_r] and (r * h) U_c. The
+backward pass runs only the recurrent matmuls dh needs inside its time
+loop and stacks the gate deltas; every W, b and U gradient comes from
+whole-sequence matmuls over that stack after the loop, and the embedding
+gradient from one scatter-add of the input deltas by token id.
 """
 
 from __future__ import annotations
@@ -192,12 +203,8 @@ def add_branch(model: MolModel, config: BranchConfig, seed: int) -> None:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Logistic function as 0.5 * (1 + tanh(x / 2)): no overflow, exactly 0.5 at 0."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def dropout_mask(shape, rate: float, seed: int, dtype) -> np.ndarray:
@@ -207,14 +214,28 @@ def dropout_mask(shape, rate: float, seed: int, dtype) -> np.ndarray:
     return keep.astype(dtype) / dtype.type(1.0 - rate)
 
 
+def _fused_kernels(p: dict[str, np.ndarray]):
+    """Gate blocks concatenated in (z, r, c) order for one forward or backward call.
+
+    Returns the input kernel [Wz|Wr|Wc] (d, 3h), the per-token input
+    projection table embedding @ [Wz|Wr|Wc] + [bz|br|bc] (vocab, 3h) and
+    the recurrent kernel [Uz|Ur] (h, 2h); Uc is used as stored.
+    """
+    w = np.concatenate([p["gru/wz"], p["gru/wr"], p["gru/wc"]], axis=1)
+    b = np.concatenate([p["gru/bz"], p["gru/br"], p["gru/bc"]])
+    u_zr = np.concatenate([p["gru/uz"], p["gru/ur"]], axis=1)
+    return w, p["embedding"] @ w + b, u_zr
+
+
 @dataclass
 class ForwardCache:
     model: MolModel
-    ids: np.ndarray
-    mask: np.ndarray  # (batch, t_used) float
-    t_used: int
+    ids: np.ndarray  # (batch, T) as given
+    steps: np.ndarray  # (t_used, batch) token id of each row at each scan step
+    live: np.ndarray  # (t_used, batch, 1) bool: the step updates the row's state
     h_states: np.ndarray  # (t_used + 1, batch, hidden); [0] is the zero state
-    gates: dict[str, np.ndarray]  # z, r, c stacked (t_used, batch, hidden)
+    zr: np.ndarray  # (t_used, batch, 2 * hidden) update|reset gates per step
+    c: np.ndarray  # (t_used, batch, hidden) candidate state per step
     drop: np.ndarray | None  # inverted-dropout scale mask or None in eval
     h_final: np.ndarray  # post-dropout stem output (batch, hidden)
     branch_inputs: list[list[np.ndarray]]  # per branch, input to each layer
@@ -231,8 +252,9 @@ def forward(
 ) -> np.ndarray | tuple[np.ndarray, ForwardCache]:
     """Probabilities (batch, n_branches), optionally with backward state.
 
-    The GRU scan stops at the longest true length in the batch; padding
-    steps never update the hidden state, so right-padding is a no-op.
+    The GRU scan stops at the last nonzero id in the batch. Id 0 never
+    updates the hidden state wherever it sits, so padding is a no-op.
+    Without `keep_cache` only the running (batch, hidden) state is kept.
     """
     if mode not in ("train", "eval"):
         raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -243,32 +265,37 @@ def forward(
         raise MalformedInputError(
             f"token ids must be in [0, {model.stem.vocab_size})"
         )
-    emb = model.params["embedding"]
-    dtype = emb.dtype
+    p = model.params
+    dtype = p["embedding"].dtype
     batch = ids.shape[0]
     h = model.stem.gru_hidden
 
-    mask_full = (ids != 0).astype(dtype)
-    t_used = int(ids.shape[1] if batch == 0 else mask_full.sum(axis=1).max())
-    mask = mask_full[:, :t_used]
+    # Scan up to the last nonzero id. Steps before t_dense update every
+    # row, so only the steps from the first padding id on blend by the mask.
+    used = np.flatnonzero((ids != 0).any(axis=0))
+    t_used = int(used[-1]) + 1 if used.size else 0
+    steps = np.ascontiguousarray(ids[:, :t_used].T)
+    live = (steps != 0)[:, :, None]
+    gaps = np.flatnonzero(~live.all(axis=(1, 2)))
+    t_dense = int(gaps[0]) if gaps.size else t_used
 
-    x = emb[ids[:, :t_used]]  # (batch, t_used, d)
-    h_states = np.zeros((t_used + 1, batch, h), dtype=dtype)
-    gates = {
-        g: np.zeros((t_used, batch, h), dtype=dtype) for g in _GATES
-    }
-    p = model.params
-    h_t = h_states[0]
+    _, table, u_zr = _fused_kernels(p)
+    u_c = p["gru/uc"]
+    h_t = np.zeros((batch, h), dtype=dtype)
+    if keep_cache:
+        h_states = np.empty((t_used + 1, batch, h), dtype=dtype)
+        h_states[0] = h_t
+        zr_states = np.empty((t_used, batch, 2 * h), dtype=dtype)
+        c_states = np.empty((t_used, batch, h), dtype=dtype)
     for t in range(t_used):
-        x_t = x[:, t, :]
-        z = _sigmoid(x_t @ p["gru/wz"] + h_t @ p["gru/uz"] + p["gru/bz"])
-        r = _sigmoid(x_t @ p["gru/wr"] + h_t @ p["gru/ur"] + p["gru/br"])
-        c = np.tanh(x_t @ p["gru/wc"] + (r * h_t) @ p["gru/uc"] + p["gru/bc"])
-        h_new = z * h_t + (1.0 - z) * c
-        m = mask[:, t : t + 1]
-        h_t = m * h_new + (1.0 - m) * h_t
-        h_states[t + 1] = h_t
-        gates["z"][t], gates["r"][t], gates["c"][t] = z, r, c
+        x_t = table[steps[t]]
+        zr = _sigmoid(x_t[:, : 2 * h] + h_t @ u_zr)
+        r = zr[:, h:]
+        c = np.tanh(x_t[:, 2 * h :] + (r * h_t) @ u_c)
+        h_new = c + zr[:, :h] * (h_t - c)  # z * h + (1 - z) * c, one op fewer
+        h_t = h_new if t < t_dense else np.where(live[t], h_new, h_t)
+        if keep_cache:
+            h_states[t + 1], zr_states[t], c_states[t] = h_t, zr, c
 
     drop = None
     h_final = h_t
@@ -297,10 +324,11 @@ def forward(
     cache = ForwardCache(
         model=model,
         ids=ids,
-        mask=mask,
-        t_used=t_used,
+        steps=steps,
+        live=live,
         h_states=h_states,
-        gates=gates,
+        zr=zr_states,
+        c=c_states,
         drop=drop,
         h_final=h_final,
         branch_inputs=branch_inputs,
@@ -381,65 +409,49 @@ def backward(
         return grads
 
     dh = dh_final if cache.drop is None else dh_final * cache.drop
+    h = model.stem.gru_hidden
+    w, _, u_zr = _fused_kernels(p)
+    u_zr_t = np.ascontiguousarray(u_zr.T)
+    u_c_t = np.ascontiguousarray(p["gru/uc"].T)
+    # gate pre-activation deltas [dz|dr|dc] per step; the loop runs only the
+    # two recurrent matmuls dh_prev needs
+    delta = np.empty((cache.steps.shape[0], batch, 3 * h), dtype=dtype)
+    for t in reversed(range(delta.shape[0])):
+        h_prev, c = cache.h_states[t], cache.c[t]
+        z, r = cache.zr[t, :, :h], cache.zr[t, :, h:]
+        # a step that leaves its row unchanged passes dh straight through
+        # (carry 1), and gate = 0 then zeroes the row's deltas
+        carry = np.where(cache.live[t], z, 1.0)
+        gate = 1.0 - carry
+        d = delta[t]
+        np.multiply(dh * gate, 1.0 - c * c, out=d[:, 2 * h :])
+        drh = d[:, 2 * h :] @ u_c_t
+        np.multiply(dh * carry * gate, h_prev - c, out=d[:, :h])
+        np.multiply(drh * r * (1.0 - r), h_prev, out=d[:, h : 2 * h])
+        dh = dh * carry + drh * r + d[:, : 2 * h] @ u_zr_t
 
-    d, h = model.stem.embedding_dim, model.stem.gru_hidden
-    demb = np.zeros_like(p["embedding"])
-    g = {
-        name: np.zeros_like(p[name])
-        for name in stem_block_names()
-        if name != "embedding"
-    }
-    dx = np.zeros((batch, cache.t_used, d), dtype=dtype)
-    x = p["embedding"][cache.ids[:, : cache.t_used]]
-    for t in reversed(range(cache.t_used)):
-        m = cache.mask[:, t : t + 1]
-        h_prev = cache.h_states[t]
-        z = cache.gates["z"][t]
-        r = cache.gates["r"][t]
-        c = cache.gates["c"][t]
-        x_t = x[:, t, :]
-
-        dh_new = dh * m
-        dh_prev = dh * (1.0 - m)
-
-        dz = dh_new * (h_prev - c)
-        dc = dh_new * (1.0 - z)
-        dh_prev += dh_new * z
-
-        dsc = dc * (1.0 - c * c)
-        g["gru/wc"] += x_t.T @ dsc
-        g["gru/uc"] += (r * h_prev).T @ dsc
-        g["gru/bc"] += dsc.sum(axis=0)
-        dx_t = dsc @ p["gru/wc"].T
-        drh = dsc @ p["gru/uc"].T
-        dr = drh * h_prev
-        dh_prev += drh * r
-
-        dsz = dz * z * (1.0 - z)
-        g["gru/wz"] += x_t.T @ dsz
-        g["gru/uz"] += h_prev.T @ dsz
-        g["gru/bz"] += dsz.sum(axis=0)
-        dx_t += dsz @ p["gru/wz"].T
-        dh_prev += dsz @ p["gru/uz"].T
-
-        dsr = dr * r * (1.0 - r)
-        g["gru/wr"] += x_t.T @ dsr
-        g["gru/ur"] += h_prev.T @ dsr
-        g["gru/br"] += dsr.sum(axis=0)
-        dx_t += dsr @ p["gru/wr"].T
-        dh_prev += dsr @ p["gru/ur"].T
-
-        dx[:, t, :] = dx_t
-        dh = dh_prev
-
-    np.add.at(
-        demb,
-        cache.ids[:, : cache.t_used].reshape(-1),
-        dx.reshape(-1, d),
-    )
-    if "embedding" not in model.frozen:
-        grads["embedding"] = demb
-    for name, val in g.items():
+    flat = delta.reshape(-1, 3 * h)
+    h_prev = cache.h_states[:-1].reshape(-1, h)
+    r = cache.zr[:, :, h:].reshape(-1, h)
+    # A step's input projection is embedding[id] [Wz|Wr|Wc] + [bz|br|bc], so
+    # the input-side gradients are matmuls over the gathered embeddings, and
+    # each step's input delta is summed into its token id's embedding row.
+    ids = cache.steps.reshape(-1)
+    w_grad = p["embedding"][ids].T @ flat
+    b_grad = flat.sum(axis=0)
+    dx = flat @ w.T
+    emb_grad = np.empty_like(p["embedding"])
+    for j in range(emb_grad.shape[1]):
+        emb_grad[:, j] = np.bincount(ids, dx[:, j], minlength=emb_grad.shape[0])
+    u_zr_grad = h_prev.T @ flat[:, : 2 * h]
+    stem_grads = {"embedding": emb_grad, "gru/uc": (r * h_prev).T @ flat[:, 2 * h :]}
+    for i, g in enumerate(_GATES):
+        cols = slice(i * h, (i + 1) * h)
+        stem_grads[f"gru/w{g}"] = w_grad[:, cols]
+        stem_grads[f"gru/b{g}"] = b_grad[cols]
+        if g != "c":
+            stem_grads[f"gru/u{g}"] = u_zr_grad[:, cols]
+    for name, val in stem_grads.items():
         if name not in model.frozen:
             grads[name] = val
     return grads

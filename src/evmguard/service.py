@@ -94,6 +94,9 @@ class PredictionService:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle on, a keep-alive
+    # client's delayed ACK would hold the body back about 40 ms.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> PredictionService:

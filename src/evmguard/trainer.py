@@ -134,23 +134,28 @@ def _run_loop(
                     mol_net.adam_step(model, grads, state, config.learning_rate)
                     step += 1
                 epoch_losses.extend(losses)
+                report = _maybe_eval(model, validation, config, branch_subset)
                 history.entries.append(
                     HistoryEntry(
                         global_epoch=g,
                         local_epoch=loc,
                         chunk_index=index,
                         train_loss=float(np.mean(losses)) if losses else 0.0,
-                        validation=_maybe_eval(model, validation, config, branch_subset),
+                        validation=report,
                         wall_seconds=time.perf_counter() - start,
                     )
                 )
+        # The summary row reuses the last local epoch's report: the model has
+        # not changed since. With no chunks nothing was evaluated yet.
+        if not encoded_chunks:
+            report = _maybe_eval(model, validation, config, branch_subset)
         history.entries.append(
             HistoryEntry(
                 global_epoch=g,
                 local_epoch=0,
                 chunk_index=n_chunks,
                 train_loss=float(np.mean(epoch_losses)) if epoch_losses else 0.0,
-                validation=_maybe_eval(model, validation, config, branch_subset),
+                validation=report,
                 wall_seconds=time.perf_counter() - start,
             )
         )

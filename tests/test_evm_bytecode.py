@@ -1,5 +1,7 @@
 """Bytecode parsing, disassembly, and opcode-family normalization."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -75,6 +77,20 @@ class TestOpcodeTable:
         with pytest.raises(ParseError):
             OpcodeTable({0x60: ("PUSH1", 3)})
 
+    def test_default_table_parsed_once(self):
+        assert default_table() is default_table()
+
+    def test_shared_table_is_read_only(self):
+        with pytest.raises(TypeError):
+            default_table().entries[0x0C] = ("NEW", 0)
+        assert 0x0C not in default_table()
+
+    def test_table_copies_its_input(self):
+        source = {0x00: ("STOP", 0)}
+        table = OpcodeTable(source)
+        source[0x01] = ("ADD", 0)
+        assert 0x01 not in table
+
 
 class TestDisassemble:
     def test_push_operand_elided(self):
@@ -97,6 +113,24 @@ class TestDisassemble:
     def test_operands_never_decoded_as_opcodes(self):
         # PUSH1 ff: the ff is an operand, not SELFDESTRUCT
         assert disassemble(b"\x60\xff\x01") == ["60", "01"]
+
+    def test_all_256_bytes_match_a_freshly_parsed_table(self):
+        text = resources.files("evmguard.data").joinpath("opcodes.txt").read_text()
+        fresh = load_table(text.splitlines())
+
+        def reference(raw):  # linear scan straight from the table's entries
+            tokens, i = [], 0
+            while i < len(raw):
+                entry = fresh.entries.get(raw[i])
+                tokens.append(f"{raw[i]:02x}" if entry else INVALID_TOKEN)
+                i += 1 + (entry[1] if entry else 0)
+            return normalize(tokens)
+
+        every_byte = bytes(range(256))
+        assert preprocess(every_byte.hex()) == reference(every_byte)
+        assert preprocess(every_byte.hex(), fresh) == reference(every_byte)
+        for b in range(256):
+            assert preprocess(f"{b:02x}") == reference(bytes([b]))
 
     def test_all_256_bytes_total(self):
         for b in range(256):

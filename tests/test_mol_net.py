@@ -159,6 +159,15 @@ class TestForward:
         assert np.all(probs_after[:, 0] != probs_before[:, 0])
         np.testing.assert_array_equal(probs_after[:, 1], probs_before[:, 1])
 
+    def test_leading_padding_does_not_drop_tokens(self):
+        # the scan runs to the last nonzero id, not to the count of them
+        model = small_model()
+        probs = forward(model, np.array([[0, 5, 0]], dtype=np.int32))
+        assert not np.array_equal(probs, forward(model, np.zeros((1, 3), np.int32)))
+        np.testing.assert_array_equal(
+            probs, forward(model, np.array([[5, 0, 0]], dtype=np.int32))
+        )
+
     def test_out_of_range_ids_rejected(self):
         model = small_model()
         bad = np.array([[99, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]], dtype=np.int32)
@@ -345,4 +354,23 @@ def test_padding_suffix_never_changes_output(prefix, pad):
     model = small_model()
     a = forward(model, np.array([prefix], dtype=np.int32))
     b = forward(model, np.array([prefix + [0] * pad], dtype=np.int32))
+    np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tokens=st.lists(st.integers(min_value=1, max_value=9), max_size=8),
+    gaps=st.lists(st.integers(min_value=0, max_value=3), min_size=9, max_size=9),
+    mode=st.sampled_from(["eval", "train"]),
+)
+def test_zeros_anywhere_match_zeros_removed(tokens, gaps, mode):
+    # gaps[i] zeros go before tokens[i]; the last gap trails the row
+    model = small_model()
+    row = []
+    for i, tok in enumerate(tokens):
+        row += [0] * gaps[i] + [tok]
+    row += [0] * gaps[len(tokens)]
+    compact = tokens + [0] * (len(row) - len(tokens))
+    a = forward(model, np.array([row], dtype=np.int32), mode=mode, seed=3)
+    b = forward(model, np.array([compact], dtype=np.int32), mode=mode, seed=3)
     np.testing.assert_array_equal(a, b)

@@ -2,11 +2,13 @@
 
 import http.client
 import json
+import socket
 import threading
 
 import numpy as np
 import pytest
 
+from evmguard import service as service_module
 from evmguard.errors import ConfigError
 from evmguard.evm_bytecode import preprocess
 from evmguard.mol_net import BranchConfig, StemConfig, forward, init_model
@@ -221,3 +223,29 @@ class TestHttp:
         assert all(status == 200 for status, _ in results)
         first = results[0][1]
         assert all(pred == first for _, pred in results)
+
+    def test_keep_alive_connection_has_nagle_off(self, http_service, monkeypatch):
+        # Headers and body are two writes; with Nagle on, the body of every
+        # keep-alive answer would wait for the client's delayed ACK.
+        _, port = http_service
+        seen = []
+        handle = service_module._Handler.handle
+
+        def spy(handler):
+            seen.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+            handle(handler)
+
+        monkeypatch.setattr(service_module._Handler, "handle", spy)
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+        try:
+            for _ in range(2):
+                conn.request("POST", "/predict", json.dumps({REQUEST_FIELD: "6001"}))
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == 200
+        finally:
+            conn.close()
+        assert len(seen) == 1  # both requests rode one connection
+        assert seen[0] != 0

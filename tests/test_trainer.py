@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from evmguard import mol_net
+from evmguard import mol_net, trainer
 from evmguard.corpus import Chunk, ContractRecord
 from evmguard.errors import ConfigError, ShortageError
 from evmguard.mol_net import BranchConfig, StemConfig, forward, init_model
@@ -107,6 +107,25 @@ class TestHistory:
         val = encode_records(make_records(12, seed=9), vocab, 8)
         hist = train(model, chunks, vocab, TrainConfig(seed=0), validation=val)
         assert all(e.validation is not None for e in hist.entries)
+
+    def test_validation_runs_once_per_local_epoch(self, monkeypatch):
+        model, chunks, vocab = small_setup(sizes=(10, 10, 10))
+        val = encode_records(make_records(12, seed=9), vocab, 8)
+        calls = []
+        real_evaluate = trainer.evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "evaluate", counting)
+        cfg = TrainConfig(global_epochs=2, local_epochs=2, batch_size=8, seed=0)
+        hist = train(model, chunks, vocab, cfg, validation=val)
+        assert len(calls) == 2 * 3 * 2  # globals x chunks x locals
+        for g in (1, 2):
+            rows = [e for e in hist.entries if e.global_epoch == g]
+            assert rows[-1].local_epoch == 0
+            assert rows[-1].validation is rows[-2].validation
 
     def test_csv_layout(self, tmp_path):
         model, chunks, vocab = small_setup()
