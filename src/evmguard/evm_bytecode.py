@@ -15,6 +15,7 @@ member, so the normalized alphabet never contains 0x61-0x7f, 0x81-0x8f,
 from __future__ import annotations
 
 import functools
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
@@ -34,8 +35,21 @@ _FAMILY_RANGES = (
 )
 
 _HEX_DIGITS = set("0123456789abcdefABCDEF")
+_HEX_BODY = re.compile("[0-9a-fA-F]*")
 
 _BYTE_TOKENS = tuple(f"{b:02x}" for b in range(256))
+
+
+def _family_token(tok: str) -> str:
+    byte = int(tok, 16)
+    for lo, hi, head in _FAMILY_RANGES:
+        if lo <= byte <= hi:
+            return f"{head:02x}"
+    return tok
+
+
+# normalize()'s token map: every two-hex-digit token, in either case, to its family head.
+_NORMALIZED = {a + b: _family_token(a + b) for a in _HEX_DIGITS for b in _HEX_DIGITS}
 
 
 @dataclass(frozen=True)
@@ -124,9 +138,9 @@ def parse_hex(text: str) -> bytes:
     body = text.strip()
     if body[:2] in ("0x", "0X"):
         body = body[2:]
-    for pos, ch in enumerate(body):
-        if ch not in _HEX_DIGITS:
-            raise MalformedInputError(f"invalid hex digit {ch!r} at position {pos}")
+    if not _HEX_BODY.fullmatch(body):
+        pos, ch = next((pos, ch) for pos, ch in enumerate(body) if ch not in _HEX_DIGITS)
+        raise MalformedInputError(f"invalid hex digit {ch!r} at position {pos}")
     if len(body) % 2 != 0:
         raise MalformedInputError(
             f"odd number of hex digits ({len(body)}); bytecode must be whole bytes"
@@ -163,19 +177,7 @@ def normalize(ops: list[str]) -> list[str]:
 
     All other tokens (including "xx") pass through; length is preserved.
     """
-    out: list[str] = []
-    for tok in ops:
-        if tok == INVALID_TOKEN:
-            out.append(tok)
-            continue
-        byte = int(tok, 16)
-        for lo, hi, head in _FAMILY_RANGES:
-            if lo <= byte <= hi:
-                out.append(f"{head:02x}")
-                break
-        else:
-            out.append(tok)
-    return out
+    return [_NORMALIZED.get(tok, tok) for tok in ops]
 
 
 def render(tokens: list[str]) -> str:

@@ -23,8 +23,11 @@ sigmoid(x) is computed as 0.5 * (1 + tanh(x / 2)) everywhere.
 
 The blocks are stored per gate, but the scan runs on fused operands built
 once per call: the (vocab, 3h) table embedding [W_z|W_r|W_c] + [b_z|b_r|b_c],
-so a step's input projection is one row gather, and the recurrent kernel
-[U_z|U_r], so a step makes two matmuls, h [U_z|U_r] and (r * h) U_c. The
+kept as its z|r and c column blocks, so a step's input projection is two
+row gathers, and the recurrent kernel [U_z|U_r], so a step makes two
+matmuls, h [U_z|U_r] and (r * h) U_c. `forward` and `Scanner` (the serving
+scan that rows join and leave between steps) share one step and one
+branch-head function, so the cell equations live in one place. The
 backward pass runs only the recurrent matmuls dh needs inside its time
 loop and stacks the gate deltas; every W, b and U gradient comes from
 whole-sequence matmuls over that stack after the loop, and the embedding
@@ -52,6 +55,9 @@ _MAGIC = b"EVMG"
 _VERSION = 1
 
 _GATES = ("z", "r", "c")
+
+_HALF = np.float32(0.5)
+_ONE = np.float32(1.0)
 
 
 @dataclass(frozen=True)
@@ -214,17 +220,38 @@ def dropout_mask(shape, rate: float, seed: int, dtype) -> np.ndarray:
     return keep.astype(dtype) / dtype.type(1.0 - rate)
 
 
+def _blas_width(w: np.ndarray) -> np.ndarray:
+    """`w` with zero columns appended up to a multiple of 16 output columns.
+
+    On the OpenBLAS build measured (0.3.31, Haswell kernels) the rows of
+    x @ w do not depend on how many rows x has when w's width is a multiple
+    of 16, and do for tails such as 2-7 or 17-23 columns, so the products
+    whose rows must not depend on the batch are computed at a padded width
+    and sliced back.
+    """
+    pad = -w.shape[-1] % 16
+    return np.pad(w, [(0, 0)] * (w.ndim - 1) + [(0, pad)]) if pad else w
+
+
 def _fused_kernels(p: dict[str, np.ndarray]):
     """Gate blocks concatenated in (z, r, c) order for one forward or backward call.
 
-    Returns the input kernel [Wz|Wr|Wc] (d, 3h), the per-token input
-    projection table embedding @ [Wz|Wr|Wc] + [bz|br|bc] (vocab, 3h) and
-    the recurrent kernel [Uz|Ur] (h, 2h); Uc is used as stored.
+    Returns the input kernel [Wz|Wr|Wc] (d, 3h), the recurrent kernel
+    [Uz|Ur] (h, 2h) and the scan operands for _gru_step: the per-token
+    input projection embedding @ [Wz|Wr|Wc] + [bz|br|bc] as two contiguous
+    tables, its z|r columns (vocab, 2h) and its c columns (vocab, h); [Uz|Ur];
+    and Uc. The z|r table and [Uz|Ur] in the scan operands are halved, which
+    is exact in binary floating point, so a step gets the x / 2 of
+    sigmoid(x) = 0.5 * (1 + tanh(x / 2)) without a multiply; all four are
+    padded to _blas_width.
     """
     w = np.concatenate([p["gru/wz"], p["gru/wr"], p["gru/wc"]], axis=1)
     b = np.concatenate([p["gru/bz"], p["gru/br"], p["gru/bc"]])
     u_zr = np.concatenate([p["gru/uz"], p["gru/ur"]], axis=1)
-    return w, p["embedding"] @ w + b, u_zr
+    table = p["embedding"] @ w + b
+    h = u_zr.shape[0]
+    scan = (table[:, : 2 * h] * _HALF, table[:, 2 * h :], u_zr * _HALF, p["gru/uc"])
+    return w, u_zr, tuple(np.ascontiguousarray(_blas_width(a)) for a in scan)
 
 
 @dataclass
@@ -243,6 +270,92 @@ class ForwardCache:
     probs: np.ndarray  # (batch, n_branches)
 
 
+def _check_ids(model: MolModel, ids, ndim: int) -> np.ndarray:
+    ids = np.asarray(ids)
+    if ids.ndim != ndim:
+        raise MalformedInputError(f"ids must be {ndim}-d, got shape {ids.shape}")
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise MalformedInputError(f"token ids must be integers, got dtype {ids.dtype}")
+    if ids.size and (ids.min() < 0 or ids.max() >= model.stem.vocab_size):
+        raise MalformedInputError(
+            f"token ids must be in [0, {model.stem.vocab_size})"
+        )
+    return ids
+
+
+def _gru_step(ids_t: np.ndarray, h_t: np.ndarray, scan) -> tuple:
+    """One GRU step for every row: (h_new, zr, c) from each row's token id.
+
+    `scan` is the operand tuple from _fused_kernels (z|r parts halved, all
+    padded to _blas_width; the products are sliced back to 2h and h
+    columns). Every operation works row by row, so a row's result does not
+    depend on the other rows.
+    """
+    x_zr_half, x_c, u_zr_half, u_c = scan
+    h = h_t.shape[1]
+    zr = h_t @ u_zr_half
+    zr += x_zr_half[ids_t]
+    zr = zr[:, : 2 * h]
+    np.tanh(zr, out=zr)
+    zr += _ONE
+    zr *= _HALF
+    c = (zr[:, h:] * h_t) @ u_c
+    c += x_c[ids_t]
+    c = c[:, :h]
+    np.tanh(c, out=c)
+    h_new = h_t - c  # z * h + (1 - z) * c as c + z * (h - c), one op fewer
+    h_new *= zr[:, :h]
+    h_new += c
+    return h_new, zr, c
+
+
+def _stacked_heads(model: MolModel) -> list:
+    """Branch weights for _branch_heads, stacked per layer across branches of equal widths.
+
+    One entry per distinct `dense_widths`: (branch columns, layers), each
+    layer (w, b) with w (G, in, out) padded to _blas_width and b (G, 1, out).
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k, b in enumerate(model.branches):
+        groups.setdefault(b.dense_widths, []).append(k)
+    p = model.params
+    heads = []
+    for widths, cols in groups.items():
+        names = [model.branches[k].class_name for k in cols]
+        layers = []
+        for i in range(len(widths)):
+            w = _blas_width(np.stack([p[f"branch:{name}:w{i}"] for name in names]))
+            b = np.stack([p[f"branch:{name}:b{i}"] for name in names])[:, None, :]
+            layers.append((w, b))
+        heads.append((cols, layers))
+    return heads
+
+
+def _branch_heads(stem_out: np.ndarray, heads: list):
+    """Probabilities (rows, n_branches), with each branch's per-layer inputs and pre-activations.
+
+    Branches of equal widths run as one stacked matmul per layer, at the
+    padded width (a width-1 layer would otherwise run as gemv, whose rows
+    round differently for different row counts).
+    """
+    n_branches = sum(len(cols) for cols, _ in heads)
+    probs = np.empty((stem_out.shape[0], n_branches), dtype=stem_out.dtype)
+    inputs: list[list[np.ndarray]] = [[] for _ in range(n_branches)]
+    pre: list[list[np.ndarray]] = [[] for _ in range(n_branches)]
+    for cols, layers in heads:
+        a = stem_out
+        for i, (w, b) in enumerate(layers):
+            s = (a @ w)[..., : b.shape[-1]]
+            s += b
+            for g, k in enumerate(cols):
+                inputs[k].append(a if a.ndim == 2 else a[g])
+                pre[k].append(s[g])
+            a = _sigmoid(s) if i == len(layers) - 1 else np.maximum(s, 0.0)
+        probs[:, cols] = a[:, :, 0].T
+    np.clip(probs, PROB_EPS, 1.0 - PROB_EPS, out=probs)
+    return probs, inputs, pre
+
+
 def forward(
     model: MolModel,
     ids: np.ndarray,
@@ -255,32 +368,31 @@ def forward(
     The GRU scan stops at the last nonzero id in the batch. Id 0 never
     updates the hidden state wherever it sits, so padding is a no-op.
     Without `keep_cache` only the running (batch, hidden) state is kept.
+    In eval mode without a cache a row's probabilities are bit-identical
+    whatever the rest of the batch holds.
     """
     if mode not in ("train", "eval"):
         raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
-    ids = np.asarray(ids)
-    if ids.ndim != 2:
-        raise MalformedInputError(f"ids must be 2-d, got shape {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= model.stem.vocab_size):
-        raise MalformedInputError(
-            f"token ids must be in [0, {model.stem.vocab_size})"
-        )
+    ids = _check_ids(model, ids, 2)
+    batch = ids.shape[0]
+    if batch == 1 and mode == "eval" and not keep_cache:
+        # BLAS runs a one-row operand as gemv, which rounds differently from
+        # the same row inside a larger batch; two copies keep them equal.
+        return forward(model, np.repeat(ids, 2, axis=0))[:1]
     p = model.params
     dtype = p["embedding"].dtype
-    batch = ids.shape[0]
     h = model.stem.gru_hidden
 
     # Scan up to the last nonzero id. Steps before t_dense update every
     # row, so only the steps from the first padding id on blend by the mask.
     used = np.flatnonzero((ids != 0).any(axis=0))
     t_used = int(used[-1]) + 1 if used.size else 0
-    steps = np.ascontiguousarray(ids[:, :t_used].T)
+    steps = ids[:, :t_used].T.astype(np.intp, order="C")
     live = (steps != 0)[:, :, None]
     gaps = np.flatnonzero(~live.all(axis=(1, 2)))
     t_dense = int(gaps[0]) if gaps.size else t_used
 
-    _, table, u_zr = _fused_kernels(p)
-    u_c = p["gru/uc"]
+    _, _, scan = _fused_kernels(p)
     h_t = np.zeros((batch, h), dtype=dtype)
     if keep_cache:
         h_states = np.empty((t_used + 1, batch, h), dtype=dtype)
@@ -288,11 +400,7 @@ def forward(
         zr_states = np.empty((t_used, batch, 2 * h), dtype=dtype)
         c_states = np.empty((t_used, batch, h), dtype=dtype)
     for t in range(t_used):
-        x_t = table[steps[t]]
-        zr = _sigmoid(x_t[:, : 2 * h] + h_t @ u_zr)
-        r = zr[:, h:]
-        c = np.tanh(x_t[:, 2 * h :] + (r * h_t) @ u_c)
-        h_new = c + zr[:, :h] * (h_t - c)  # z * h + (1 - z) * c, one op fewer
+        h_new, zr, c = _gru_step(steps[t], h_t, scan)
         h_t = h_new if t < t_dense else np.where(live[t], h_new, h_t)
         if keep_cache:
             h_states[t + 1], zr_states[t], c_states[t] = h_t, zr, c
@@ -303,22 +411,7 @@ def forward(
         drop = dropout_mask((batch, h), model.stem.dropout_rate, seed, dtype)
         h_final = h_t * drop
 
-    branch_inputs: list[list[np.ndarray]] = []
-    branch_pre: list[list[np.ndarray]] = []
-    probs = np.zeros((batch, len(model.branches)), dtype=dtype)
-    for k, b in enumerate(model.branches):
-        inputs, pre = [], []
-        a = h_final
-        n = len(b.dense_widths)
-        for i in range(n):
-            inputs.append(a)
-            s = a @ p[f"branch:{b.class_name}:w{i}"] + p[f"branch:{b.class_name}:b{i}"]
-            pre.append(s)
-            a = _sigmoid(s) if i == n - 1 else np.maximum(s, 0.0)
-        probs[:, k] = np.clip(a[:, 0], PROB_EPS, 1.0 - PROB_EPS)
-        branch_inputs.append(inputs)
-        branch_pre.append(pre)
-
+    probs, branch_inputs, branch_pre = _branch_heads(h_final, _stacked_heads(model))
     if not keep_cache:
         return probs
     cache = ForwardCache(
@@ -336,6 +429,86 @@ def forward(
         probs=probs,
     )
     return probs, cache
+
+
+class Scanner:
+    """Eval-mode GRU scan that rows join and leave between steps.
+
+    `admit(ids)` adds a row that starts from the zero state at the next
+    step and runs exactly its own ids, up to its last nonzero one;
+    `advance()` runs one step for every row and returns (slot, probabilities)
+    for the rows whose last id that step consumed. A row's probabilities are
+    bit-identical to `forward(model, ids[None])` whatever else is in flight:
+    slot 0 is never admitted, so BLAS never gets a one-row operand, the
+    products run at _blas_width, and every other operation works row by row.
+
+    Row ids sit in a (max_sequence_length, slots) ring indexed by the global
+    step, so a step reads one contiguous ring row. Rows outside their own
+    window (slot 0, free slots) read stale ids and compute states nobody
+    reads; only steps where some row holds an interior id 0 blend by the
+    padding mask. Not thread-safe: one thread at a time may call it.
+    """
+
+    def __init__(self, model: MolModel):
+        self.model = model
+        _, _, self._scan = _fused_kernels(model.params)
+        self._heads = _stacked_heads(model)
+        self._h = np.zeros((1, model.stem.gru_hidden), dtype=self._scan[0].dtype)
+        self._ring = np.zeros((model.stem.max_sequence_length, 2), dtype=np.intp)
+        self._ends: list[int | None] = [None, None]  # per slot, step after its last id
+        self._step = 0
+        self._next_end: int | None = None  # earliest end among busy slots
+        self._masked: set[int] = set()  # steps where some row holds id 0
+
+    def admit(self, ids: np.ndarray) -> int:
+        """Queue a row for the next step; returns its slot."""
+        ids = _check_ids(self.model, ids, 1)
+        used = np.flatnonzero(ids)
+        n = int(used[-1]) + 1 if used.size else 0
+        span = self._ring.shape[0]
+        if n > span:
+            raise MalformedInputError(f"{n} ids run past max_sequence_length {span}")
+        if None not in self._ends[1:]:
+            self._ring = np.concatenate([self._ring, np.zeros_like(self._ring)], axis=1)
+            self._ends += [None] * len(self._ends)
+        slot = self._ends.index(None, 1)
+        # a row with no ids still takes one step, masked, so its state stays zero
+        window = np.zeros(max(n, 1), dtype=np.intp)
+        window[:n] = ids[:n]
+        self._ring[(self._step + np.arange(window.size)) % span, slot] = window
+        self._masked.update((self._step + np.flatnonzero(window == 0)).tolist())
+        end = self._step + n
+        self._ends[slot] = end
+        self._next_end = end if self._next_end is None else min(self._next_end, end)
+        if slot < self._h.shape[0]:
+            self._h[slot] = 0
+        else:
+            grown = np.zeros((slot + 1, self._h.shape[1]), dtype=self._h.dtype)
+            grown[: self._h.shape[0]] = self._h
+            self._h = grown
+        return slot
+
+    def advance(self) -> list[tuple[int, np.ndarray]]:
+        """One step for every admitted row; returns the rows it finished."""
+        if self._next_end is None:
+            return []
+        row = self._ring[self._step % self._ring.shape[0], : self._h.shape[0]]
+        h_new, _, _ = _gru_step(row, self._h, self._scan)
+        if self._step in self._masked:
+            self._masked.discard(self._step)
+            h_new = np.where((row != 0)[:, None], h_new, self._h)
+        self._h = h_new
+        self._step += 1
+        if self._step < self._next_end:
+            return []
+        done = [k for k, end in enumerate(self._ends) if end is not None and end <= self._step]
+        probs, _, _ = _branch_heads(self._h[[0, *done]], self._heads)
+        for slot in done:
+            self._ends[slot] = None
+        busy = [slot for slot, end in enumerate(self._ends) if end is not None]
+        self._h = self._h[: busy[-1] + 1 if busy else 1]
+        self._next_end = min(self._ends[slot] for slot in busy) if busy else None
+        return list(zip(done, probs[1:]))
 
 
 def bce_loss(labels: np.ndarray, probs: np.ndarray, eps: float = PROB_EPS) -> float:
@@ -410,7 +583,7 @@ def backward(
 
     dh = dh_final if cache.drop is None else dh_final * cache.drop
     h = model.stem.gru_hidden
-    w, _, u_zr = _fused_kernels(p)
+    w, u_zr, _ = _fused_kernels(p)
     u_zr_t = np.ascontiguousarray(u_zr.T)
     u_c_t = np.ascontiguousarray(p["gru/uc"].T)
     # gate pre-activation deltas [dz|dr|dc] per step; the loop runs only the

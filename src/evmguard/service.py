@@ -8,8 +8,16 @@ its key spelling and value formatting are byte-stable:
     {"prediction": {<class>: <prob, 4 decimals>, ...},
      "prediction_time in_second": "<seconds, 2 decimals>"}
 
-The CLI predict command and the HTTP handler both call predict_document,
-so served probabilities are bit-identical to library-level ones.
+Every prediction, from the CLI predict command or any number of
+concurrent HTTP requests, runs through one mol_net.Scanner: each request
+is a row of one running GRU scan, joins it at the next step and leaves
+when its last token is consumed (continuous batching). The thread that
+finds the scan idle leads it and hands it to a waiting thread when its
+own row is done, so a lone request runs on its caller's thread. A row's
+numbers never depend on what else is in flight: every document is
+byte-equal to the one the same contract gets when served alone, and
+served probabilities are bit-identical to mol_net.forward on that
+contract's ids.
 """
 
 from __future__ import annotations
@@ -17,18 +25,97 @@ from __future__ import annotations
 import json
 import threading
 import time
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
 from .errors import ConfigError, EvmGuardError, MalformedInputError
 from .evm_bytecode import preprocess
-from .mol_net import MolModel, forward
+# `forward` stays bound here, unused, because perfbench's serve launcher wraps service.forward.
+from .mol_net import MolModel, Scanner, forward  # noqa: F401
 from .tokenizer import Vocabulary, encode
 
 REQUEST_FIELD = "smart_contract"
 PREDICTION_KEY = "prediction"
 TIMING_KEY = "prediction_time in_second"
+
+
+@dataclass
+class _Request:
+    ids: np.ndarray
+    probs: np.ndarray | None = None
+    error: Exception | None = None
+
+    @property
+    def done(self) -> bool:
+        return self.probs is not None or self.error is not None
+
+
+class _SharedScan:
+    """One Scanner shared by every in-flight request, stepped by one of their threads.
+
+    Requests queue their ids; a thread that finds no leader becomes it,
+    admits queued rows between steps and steps until its own row is done,
+    then gives the scan up to a waiting thread (leader/follower). The
+    scanner and `_rows` are touched only by the current leader.
+    """
+
+    def __init__(self, model: MolModel):
+        self._scanner = Scanner(model)
+        self._cond = threading.Condition()
+        self._queued: list[_Request] = []
+        self._rows: dict[int, _Request] = {}  # scanner slot -> its request
+        self._leading = False
+
+    def probabilities(self, ids: np.ndarray) -> np.ndarray:
+        request = _Request(ids)
+        with self._cond:
+            self._queued.append(request)
+            while self._leading and not request.done:
+                self._cond.wait()
+            lead = not request.done
+            if lead:
+                self._leading = True
+        if lead:
+            try:
+                self._lead(request)
+            finally:
+                with self._cond:
+                    self._leading = False
+                    self._cond.notify_all()
+        if request.error is not None:
+            raise request.error
+        return request.probs
+
+    def _lead(self, own: _Request) -> None:
+        try:
+            while not own.done:
+                if self._queued:
+                    with self._cond:
+                        for request in self._queued:
+                            try:
+                                self._rows[self._scanner.admit(request.ids)] = request
+                            except MalformedInputError as exc:
+                                request.error = exc
+                                self._cond.notify_all()
+                        self._queued.clear()
+                finished = self._scanner.advance()
+                if finished:
+                    with self._cond:
+                        for slot, probs in finished:
+                            self._rows.pop(slot).probs = probs
+                        self._cond.notify_all()
+        except BaseException as exc:
+            # The scan's state is unknown: fail every request in it or
+            # queued for it, and start a fresh scan.
+            with self._cond:
+                for request in [*self._rows.values(), *self._queued]:
+                    request.error = EvmGuardError(f"prediction scan failed: {exc!r}")
+                self._rows.clear()
+                self._queued.clear()
+                self._scanner = Scanner(self._scanner.model)
+            raise
 
 
 class PredictionService:
@@ -53,6 +140,7 @@ class PredictionService:
         self.raw = raw
         self.timer = timer
         self._lock = threading.Lock()
+        self._scan = _SharedScan(model)
         self.requests_served = 0
 
     def config_document(self) -> str:
@@ -65,10 +153,10 @@ class PredictionService:
         return json.dumps(doc)
 
     def predict_probabilities(self, hex_text: str) -> np.ndarray:
-        """Training-identical preprocessing, then one eval-mode forward pass."""
+        """Training-identical preprocessing, then a row of the shared eval-mode scan."""
         tokens = preprocess(hex_text)
         seq = encode(tokens, self.vocab, self.model.stem.max_sequence_length)
-        return forward(self.model, seq.ids[None, :], mode="eval")[0]
+        return self._scan.probabilities(seq.ids)
 
     def predict_document(self, hex_text: str) -> str:
         started = self.timer()

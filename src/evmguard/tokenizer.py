@@ -79,8 +79,8 @@ def encode(
         raise ValueError("max_sequence_length must be >= 1")
     kept = tokens[:max_sequence_length]
     ids = np.zeros(max_sequence_length, dtype=np.int32)
-    for i, tok in enumerate(kept):
-        ids[i] = vocab.id_of(tok)
+    lookup = vocab.token_to_id.get
+    ids[: len(kept)] = [lookup(tok, OOV_ID) for tok in kept]
     return TokenSequence(ids=ids, true_length=len(kept))
 
 

@@ -46,6 +46,21 @@ class TestParseHex:
         with pytest.raises(MalformedInputError, match="position 2"):
             parse_hex("60zz")
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [("60 01", 2), ("0x6001\n02", 4), ("60\t01", 2), ("6001" * 500 + "g0", 2000),
+         ("60\u0661", 2)],
+    )
+    def test_inner_whitespace_and_non_ascii_rejected_with_position(self, text, position):
+        # bytes.fromhex alone would accept the inner whitespace
+        with pytest.raises(MalformedInputError, match=f"position {position}$"):
+            parse_hex(text)
+
+    @given(st.binary(max_size=200), st.sampled_from(["", "0x", "0X"]), st.booleans())
+    def test_valid_hex_round_trips(self, raw, prefix, upper):
+        text = raw.hex().upper() if upper else raw.hex()
+        assert parse_hex(f" {prefix}{text}\n") == raw
+
 
 class TestOpcodeTable:
     def test_push_operand_counts(self):
@@ -170,6 +185,20 @@ class TestNormalize:
     def test_length_preserved(self):
         tokens = ["61", "85", "9f", "a4", "00", "xx"]
         assert len(normalize(tokens)) == len(tokens)
+
+    def test_every_two_digit_token_matches_the_family_ranges(self):
+        def reference(tok):  # the range scan normalize used to run per token
+            byte = int(tok, 16)
+            for lo, hi, head in ((0x60, 0x7F, 0x60), (0x80, 0x8F, 0x80),
+                                 (0x90, 0x9F, 0x90), (0xA0, 0xA4, 0xA0)):
+                if lo <= byte <= hi:
+                    return f"{head:02x}"
+            return tok
+
+        tokens = [f"{b:02x}" for b in range(256)]
+        tokens += [t.upper() for t in tokens] + [INVALID_TOKEN]
+        want = [INVALID_TOKEN if t == INVALID_TOKEN else reference(t) for t in tokens]
+        assert normalize(tokens) == want
 
 
 class TestRenderRoundTrip:

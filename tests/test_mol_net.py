@@ -174,6 +174,14 @@ class TestForward:
         with pytest.raises(MalformedInputError):
             forward(model, bad)
 
+    @pytest.mark.parametrize(
+        "ids", [[[1.0, 2.0]], [[True, False]], [["1", "2"]]], ids=["float", "bool", "str"]
+    )
+    def test_non_integer_ids_rejected(self, ids):
+        # a float matrix used to leak IndexError from the embedding gather
+        with pytest.raises(MalformedInputError, match="integers"):
+            forward(small_model(), np.array(ids))
+
     def test_bad_mode_rejected(self):
         with pytest.raises(UsageError):
             forward(small_model(), ids_batch(), mode="predict")

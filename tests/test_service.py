@@ -1,15 +1,18 @@
 """Prediction service: document formatting, config, and the HTTP surface."""
 
+import contextlib
 import http.client
 import json
 import socket
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from evmguard import mol_net
 from evmguard import service as service_module
-from evmguard.errors import ConfigError
+from evmguard.errors import ConfigError, EvmGuardError, MalformedInputError
 from evmguard.evm_bytecode import preprocess
 from evmguard.mol_net import BranchConfig, StemConfig, forward, init_model
 from evmguard.service import (
@@ -34,12 +37,12 @@ class FakeTimer:
         return value
 
 
-def make_service(raw=False, timer=None):
+def make_service(raw=False, timer=None, max_sequence_length=16, vocab_size=None):
     corpus = [["60", "60", "52"], ["f1", "ff"], ["54", "55", "00"]]
     vocab = fit(corpus)
     stem = StemConfig(
-        vocab_size=len(vocab), embedding_dim=3, gru_hidden=4,
-        dropout_rate=0.2, max_sequence_length=16,
+        vocab_size=vocab_size or len(vocab), embedding_dim=3, gru_hidden=4,
+        dropout_rate=0.2, max_sequence_length=max_sequence_length,
     )
     model = init_model(
         stem, [BranchConfig("alpha", (3, 1)), BranchConfig("beta", (3, 1))], seed=0
@@ -124,18 +127,25 @@ class TestPredictDocument:
         assert service.requests_served == 2
 
 
-@pytest.fixture()
-def http_service():
-    service, model, vocab = make_service(timer=FakeTimer())
+@contextlib.contextmanager
+def serving(service):
+    """`service` behind a live server; yields its port."""
     server = make_server(service, "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield service, server.server_address[1]
+        yield server.server_address[1]
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+@pytest.fixture()
+def http_service():
+    service, model, vocab = make_service(timer=FakeTimer())
+    with serving(service) as port:
+        yield service, port
 
 
 def request(port, method, path, body=None):
@@ -249,3 +259,114 @@ class TestHttp:
             conn.close()
         assert len(seen) == 1  # both requests rode one connection
         assert seen[0] != 0
+
+
+# Contracts of 0-300 opcodes built from the fixture vocabulary plus unknown
+# bytes, each distinct, so concurrent scans join and leave at different steps.
+def distinct_contracts(n, seed=0):
+    rng = np.random.default_rng(seed)
+    ops = ["6001", "52", "f1", "ff", "54", "55", "00", "0c"]
+    return [
+        "".join(rng.choice(ops, size=int(k))) + f"60{i:02x}"
+        for i, k in enumerate(rng.integers(0, 300, size=n))
+    ]
+
+
+def run_threads(target, args_list):
+    threads = [threading.Thread(target=target, args=args) for args in args_list]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+
+
+class TestSharedScan:
+    def test_lone_request_runs_on_the_callers_thread(self, monkeypatch):
+        service, model, vocab = make_service()
+        seen = set()
+        advance = mol_net.Scanner.advance
+
+        def spy(scanner):
+            seen.add(threading.get_ident())
+            return advance(scanner)
+
+        monkeypatch.setattr(mol_net.Scanner, "advance", spy)
+        before = threading.active_count()
+        service.predict_probabilities("6060604052f1ff")
+        assert seen == {threading.get_ident()}
+        assert threading.active_count() == before
+
+    def test_concurrent_http_documents_equal_solo_documents(self):
+        service, _, _ = make_service(timer=lambda: 0.0, max_sequence_length=400)
+        contracts = distinct_contracts(8)
+        alone = [service.predict_document(c) for c in contracts]
+        got = [None] * len(contracts)
+
+        def post(i, port):
+            got[i] = request(port, "POST", "/predict", json.dumps({REQUEST_FIELD: contracts[i]}))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with serving(service) as port:
+                run_threads(post, [(i, port) for i in range(len(contracts))])
+        finally:
+            sys.setswitchinterval(old)
+        assert got == [(200, doc) for doc in alone]
+
+    def test_many_threads_share_one_scan_with_solo_numbers(self, monkeypatch):
+        service, model, vocab = make_service(max_sequence_length=600)
+        contracts = distinct_contracts(24, seed=1)
+        ids = [encode(preprocess(c), vocab, 600).ids for c in contracts]
+        alone = [forward(model, row[None, :])[0] for row in ids]
+        slots = []
+        admit = mol_net.Scanner.admit
+
+        def spy(scanner, ids):
+            slots.append(admit(scanner, ids))
+            return slots[-1]
+
+        monkeypatch.setattr(mol_net.Scanner, "admit", spy)
+        got = [None] * len(contracts)
+        start = threading.Barrier(12)
+
+        def worker(k):
+            start.wait(timeout=30)
+            for i in range(k, len(contracts), 12):
+                got[i] = service.predict_probabilities(contracts[i])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads(worker, [(k,) for k in range(12)])
+        finally:
+            sys.setswitchinterval(old)
+        assert max(slots) >= 2  # rows were in flight together
+        for want, have in zip(alone, got):
+            assert have.tobytes() == want.tobytes()
+
+    def test_bad_row_fails_only_its_own_request(self):
+        # a model whose stem covers fewer ids than its vocabulary assigns
+        service, model, vocab = make_service(vocab_size=4)
+        assert vocab.id_of("ff") >= 4
+        with pytest.raises(MalformedInputError):
+            service.predict_probabilities("ff")
+        assert service.predict_probabilities("6060").shape == (2,)
+
+    def test_failure_reaches_every_waiting_request(self):
+        scan = service_module._SharedScan(make_service()[1])
+        waiting = service_module._Request(np.zeros(16, dtype=np.int32))
+        scan._queued.append(waiting)
+
+        class Exploding:
+            model = scan._scanner.model
+
+            def admit(self, ids):
+                raise RuntimeError("boom")
+
+        scan._scanner = Exploding()
+        with pytest.raises(RuntimeError):
+            scan.probabilities(np.zeros(16, dtype=np.int32))
+        assert isinstance(waiting.error, EvmGuardError)
+        assert scan.probabilities(np.zeros(16, dtype=np.int32)).shape == (2,)
