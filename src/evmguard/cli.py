@@ -115,14 +115,7 @@ def _read_chunks_dir(chunks_dir: str) -> tuple[list[corpus.Chunk], corpus.ClassC
 def _load_model_and_vocab(model_path, vocab_path):
     model = mol_net.load_model(model_path)
     vocab = tokenizer.load_vocab(vocab_path)
-    if (
-        model.vocab_fingerprint is not None
-        and model.vocab_fingerprint != vocab.fingerprint()
-    ):
-        raise ConfigError(
-            "vocabulary fingerprint mismatch: model was trained with "
-            f"{model.vocab_fingerprint}, loaded {vocab.fingerprint()}"
-        )
+    vocab.check_fingerprint(model.vocab_fingerprint)
     return model, vocab
 
 

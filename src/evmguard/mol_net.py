@@ -488,6 +488,28 @@ class Scanner:
             self._h = grown
         return slot
 
+    def check_batch_invariance(self) -> None:
+        """Raise ConfigError if a row of this scan's products depends on the row count.
+
+        Runs one step and the branch heads on 3 rows and on their first 2
+        and compares those rows' bytes: gates, new state, every head
+        pre-activation and the probabilities. The bit-identity above rests
+        on this property of the BLAS build, which is measured, not given.
+        """
+        rows = np.linspace(-1.0, 1.0, 3 * self._h.shape[1], dtype=self._h.dtype).reshape(3, -1)
+        ids = np.arange(1, 4) % self.model.stem.vocab_size
+
+        def outputs(n: int) -> list[np.ndarray]:
+            step = _gru_step(ids[:n], rows[:n], self._scan)
+            probs, _, pre = _branch_heads(rows[:n], self._heads)
+            return [*step, probs, *(s for branch in pre for s in branch)]
+
+        if any(a.tobytes() != b[:2].tobytes() for a, b in zip(outputs(2), outputs(3))):
+            raise ConfigError(
+                "this BLAS build rounds a row of the eval-path products differently "
+                "for 2 and 3 rows, so a served row would depend on what else is in flight"
+            )
+
     def advance(self) -> list[tuple[int, np.ndarray]]:
         """One step for every admitted row; returns the rows it finished."""
         if self._next_end is None:

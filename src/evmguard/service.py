@@ -9,7 +9,8 @@ its key spelling and value formatting are byte-stable:
      "prediction_time in_second": "<seconds, 2 decimals>"}
 
 Every prediction, from the CLI predict command or any number of
-concurrent HTTP requests, runs through one mol_net.Scanner: each request
+concurrent HTTP requests, that misses the result cache (below) runs
+through one mol_net.Scanner: each request
 is a row of one running GRU scan, joins it at the next step and leaves
 when its last token is consumed (continuous batching). The thread that
 finds the scan idle leads it and hands it to a waiting thread when its
@@ -18,19 +19,38 @@ numbers never depend on what else is in flight: every document is
 byte-equal to the one the same contract gets when served alone, and
 served probabilities are bit-identical to mol_net.forward on that
 contract's ids.
+
+Served probabilities are memoized per distinct token-id sequence. The key
+is the SHA-256 digest of the encoded ids up to the sequence's true length
+(the ids after it are padding, fixed by the model's max_sequence_length);
+the value is a read-only copy of the row. Because a row's probabilities
+depend only on its ids, bit for bit, a hit is exact: the document is
+byte-equal to an uncached one. Normalization drops operands, so every
+EIP-1167 proxy clone, whatever its target address, shares one entry. The
+cache is one LRU of CACHE_ENTRIES rows behind the service lock; errors
+are never cached, and concurrent misses on the same ids are not
+coalesced (each runs its own row; the results are equal). At start-up the
+scan checks once that its products on 2 and 3 rows agree on the shared
+rows, the premise every cached answer is replayed on.
+
+The handler answers a body it cannot frame (no, a bad or a too-large
+Content-Length, or a body that ends or stalls before it) with an error and
+closes the connection; a client that hangs up ends only its connection.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from .errors import ConfigError, EvmGuardError, MalformedInputError
+from .errors import EvmGuardError, MalformedInputError
 from .evm_bytecode import preprocess
 # `forward` stays bound here, unused, because perfbench's serve launcher wraps service.forward.
 from .mol_net import MolModel, Scanner, forward  # noqa: F401
@@ -39,6 +59,11 @@ from .tokenizer import Vocabulary, encode
 REQUEST_FIELD = "smart_contract"
 PREDICTION_KEY = "prediction"
 TIMING_KEY = "prediction_time in_second"
+CACHE_ENTRIES = 1024  # distinct token-id sequences whose probabilities are kept
+# The hex of the largest code the EVM accepts (EIP-3860 initcode, 49,152
+# bytes: 98,306 characters with "0x") plus JSON framing fits under this.
+MAX_BODY_BYTES = 1 << 17
+READ_TIMEOUT_S = 30.0  # per socket read or write on a connection
 
 
 @dataclass
@@ -63,6 +88,7 @@ class _SharedScan:
 
     def __init__(self, model: MolModel):
         self._scanner = Scanner(model)
+        self._scanner.check_batch_invariance()
         self._cond = threading.Condition()
         self._queued: list[_Request] = []
         self._rows: dict[int, _Request] = {}  # scanner slot -> its request
@@ -128,19 +154,14 @@ class PredictionService:
         raw: bool = False,
         timer=time.perf_counter,
     ):
-        if model.vocab_fingerprint is None:
-            raise ConfigError("model carries no vocabulary fingerprint; train it first")
-        if model.vocab_fingerprint != vocab.fingerprint():
-            raise ConfigError(
-                "vocabulary fingerprint mismatch: model was trained with "
-                f"{model.vocab_fingerprint}, loaded {vocab.fingerprint()}"
-            )
+        vocab.check_fingerprint(model.vocab_fingerprint)
         self.model = model
         self.vocab = vocab
         self.raw = raw
         self.timer = timer
         self._lock = threading.Lock()
         self._scan = _SharedScan(model)
+        self._cache: OrderedDict[bytes, np.ndarray] = OrderedDict()  # LRU, oldest first
         self.requests_served = 0
 
     def config_document(self) -> str:
@@ -153,10 +174,26 @@ class PredictionService:
         return json.dumps(doc)
 
     def predict_probabilities(self, hex_text: str) -> np.ndarray:
-        """Training-identical preprocessing, then a row of the shared eval-mode scan."""
+        """Training-identical preprocessing, then the cached row or a row of the shared scan.
+
+        The returned array is read-only: a hit hands every caller the same one.
+        """
         tokens = preprocess(hex_text)
         seq = encode(tokens, self.vocab, self.model.stem.max_sequence_length)
-        return self._scan.probabilities(seq.ids)
+        key = hashlib.sha256(seq.ids[: seq.true_length].tobytes()).digest()
+        with self._lock:
+            probs = self._cache.get(key)
+            if probs is not None:
+                self._cache.move_to_end(key)
+                return probs
+        probs = self._scan.probabilities(seq.ids).copy()  # not a view into the scan's batch
+        probs.flags.writeable = False
+        with self._lock:
+            self._cache[key] = probs
+            self._cache.move_to_end(key)
+            if len(self._cache) > CACHE_ENTRIES:
+                self._cache.popitem(last=False)
+        return probs
 
     def predict_document(self, hex_text: str) -> str:
         started = self.timer()
@@ -185,6 +222,7 @@ class _Handler(BaseHTTPRequestHandler):
     # Headers and body go out as two writes; with Nagle on, a keep-alive
     # client's delayed ACK would hold the body back about 40 ms.
     disable_nagle_algorithm = True
+    timeout = READ_TIMEOUT_S
 
     @property
     def service(self) -> PredictionService:
@@ -193,16 +231,55 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # quiet by default
         pass
 
-    def _send(self, status: int, body: str) -> None:
+    def handle(self):
+        try:
+            super().handle()
+        except ConnectionError:  # the client hung up; there is no one to answer
+            self.close_connection = True
+
+    def _send(self, status: int, body: str, close: bool = False) -> None:
         payload = body.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 
-    def _send_error(self, status: int, message: str) -> None:
-        self._send(status, json.dumps({"error": message}))
+    def _send_error(self, status: int, message: str, close: bool = False) -> None:
+        self._send(status, json.dumps({"error": message}), close)
+
+    def _read_body(self) -> bytes | None:
+        """The request body, or None after answering a request whose body cannot be read.
+
+        Every such answer closes the connection: the stream is no longer at
+        a request boundary.
+        """
+        text = self.headers.get("Content-Length")
+        if text is None:
+            self._send_error(411, "Content-Length is required", close=True)
+            return None
+        if not (text.isascii() and text.isdigit()):
+            self._send_error(400, f"Content-Length {text!r} is not a byte count", close=True)
+            return None
+        length = int(text)
+        if length > MAX_BODY_BYTES:
+            self._send_error(
+                413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}", close=True
+            )
+            return None
+        try:
+            body = self.rfile.read(length)
+        except TimeoutError:
+            self._send_error(408, f"request body not received within {self.timeout} s", close=True)
+            return None
+        if len(body) < length:
+            self._send_error(
+                400, f"request body ended after {len(body)} of {length} bytes", close=True
+            )
+            return None
+        return body
 
     def do_GET(self):
         if self.path != "/config":
@@ -211,12 +288,13 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, self.service.config_document())
 
     def do_POST(self):
-        if self.path != "/predict":
-            self._send_error(404, f"no such endpoint {self.path!r}")
+        if self.path != "/predict":  # its body is left unread, so the connection ends
+            self._send_error(404, f"no such endpoint {self.path!r}", close=True)
+            return
+        body = self._read_body()
+        if body is None:
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            body = self.rfile.read(length)
             request = json.loads(body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             self._send_error(400, f"request body is not valid JSON: {exc}")

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 
 PAD_TOKEN = "<PAD>"
 OOV_TOKEN = "<OOV>"
@@ -49,6 +49,16 @@ class Vocabulary:
         for token, idx in sorted(self.token_to_id.items(), key=lambda kv: kv[1]):
             h.update(f"{token}\t{idx}\n".encode())
         return "sha256:" + h.hexdigest()
+
+    def check_fingerprint(self, model_fingerprint: str | None) -> None:
+        """Raise ConfigError unless a model's recorded fingerprint is this vocabulary's."""
+        if model_fingerprint is None:
+            raise ConfigError("model carries no vocabulary fingerprint; train it first")
+        if model_fingerprint != self.fingerprint():
+            raise ConfigError(
+                "vocabulary fingerprint mismatch: model was trained with "
+                f"{model_fingerprint}, loaded {self.fingerprint()}"
+            )
 
 
 @dataclass(frozen=True)

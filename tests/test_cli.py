@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from evmguard import corpus, service
+from evmguard import corpus, mol_net, service
 from evmguard.cli import main
 from evmguard.corpus import (
     DEFAULT_CLASS_NAMES,
@@ -139,6 +139,21 @@ class TestPipeline:
         rc = run(
             ["predict", hexfile, "--model", trained["model"], "--vocab", other]
         )
+        assert rc == 1
+        assert "fingerprint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_model_without_fingerprint_rejected(self, trained, capsys, command):
+        # the CLI and the service share one fingerprint check
+        tmp = trained["tmp"]
+        model = mol_net.load_model(trained["model"])
+        model.vocab_fingerprint = None
+        bare = tmp / "bare.bin"
+        mol_net.save_model(model, bare)
+        hexfile = tmp / "one.hex"
+        hexfile.write_text("6001")
+        target = ["--data", trained["chunks_dir"] / "test.csv"] if command == "eval" else [hexfile]
+        rc = run([command, *target, "--model", bare, "--vocab", trained["vocab"]])
         assert rc == 1
         assert "fingerprint" in capsys.readouterr().err
 

@@ -4,11 +4,13 @@ import contextlib
 import http.client
 import json
 import socket
+import struct
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evmguard import mol_net
 from evmguard import service as service_module
@@ -16,6 +18,7 @@ from evmguard.errors import ConfigError, EvmGuardError, MalformedInputError
 from evmguard.evm_bytecode import preprocess
 from evmguard.mol_net import BranchConfig, StemConfig, forward, init_model
 from evmguard.service import (
+    MAX_BODY_BYTES,
     PREDICTION_KEY,
     REQUEST_FIELD,
     TIMING_KEY,
@@ -300,7 +303,9 @@ class TestSharedScan:
     def test_concurrent_http_documents_equal_solo_documents(self):
         service, _, _ = make_service(timer=lambda: 0.0, max_sequence_length=400)
         contracts = distinct_contracts(8)
-        alone = [service.predict_document(c) for c in contracts]
+        # solo documents from a service of its own, so the concurrent ones miss its cache
+        solo_service, _, _ = make_service(timer=lambda: 0.0, max_sequence_length=400)
+        alone = [solo_service.predict_document(c) for c in contracts]
         got = [None] * len(contracts)
 
         def post(i, port):
@@ -370,3 +375,246 @@ class TestSharedScan:
             scan.probabilities(np.zeros(16, dtype=np.int32))
         assert isinstance(waiting.error, EvmGuardError)
         assert scan.probabilities(np.zeros(16, dtype=np.int32)).shape == (2,)
+
+
+def raw_exchange(port, data, shut_write=False):
+    """Send raw bytes; returns (status, body) of the reply, which must come within 2 s."""
+    with socket.create_connection(("127.0.0.1", port), timeout=2) as sock:
+        sock.sendall(data)
+        if shut_write:
+            sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(65536):  # the server closes the connection after answering
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert b"connection: close" in head.lower()
+    return int(head.split(b" ", 2)[1]), json.loads(body)
+
+
+def post_head(length_header):
+    return b"POST /predict HTTP/1.1\r\nHost: localhost\r\n" + length_header + b"\r\n"
+
+
+class TestHttpBodyFraming:
+    @pytest.mark.parametrize("length", [b"-1", b"abc", b"+5", b"1e3", b""])
+    def test_bad_length_is_400(self, http_service, length):
+        _, port = http_service
+        status, body = raw_exchange(port, post_head(b"Content-Length: " + length + b"\r\n"))
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_missing_length_is_411(self, http_service):
+        _, port = http_service
+        assert raw_exchange(port, post_head(b""))[0] == 411
+
+    def test_length_over_the_cap_is_413_without_reading_the_body(self, http_service):
+        _, port = http_service
+        head = post_head(f"Content-Length: {MAX_BODY_BYTES + 1}\r\n".encode())
+        assert raw_exchange(port, head)[0] == 413
+
+    def test_cap_admits_the_largest_initcode(self):
+        # EIP-3860: 49,152 bytes of initcode, sent as 0x-prefixed hex in the JSON body
+        body = json.dumps({REQUEST_FIELD: "0x" + "00" * 49_152})
+        assert len(body.encode()) <= MAX_BODY_BYTES
+
+    def test_body_shorter_than_its_length_is_400(self, http_service):
+        _, port = http_service
+        data = post_head(b"Content-Length: 100\r\n") + b'{"smart_contract": "60"}'
+        status, body = raw_exchange(port, data, shut_write=True)
+        assert status == 400
+        assert "ended after 24 of 100 bytes" in body["error"]
+
+    def test_stalled_body_is_408_after_the_read_timeout(self, http_service, monkeypatch):
+        monkeypatch.setattr(service_module._Handler, "timeout", 0.3)
+        _, port = http_service
+        data = post_head(b"Content-Length: 100\r\n") + b'{"smart_contract": "60"}'
+        assert raw_exchange(port, data)[0] == 408
+
+    def test_post_to_unknown_path_does_not_desync_keep_alive(self, http_service):
+        _, port = http_service
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=2)
+        try:
+            conn.request("POST", "/nope", json.dumps({REQUEST_FIELD: "6001"}))
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 404
+            conn.request("POST", "/predict", json.dumps({REQUEST_FIELD: "6001"}))
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 200
+        finally:
+            conn.close()
+
+    def test_connections_have_a_read_timeout(self, http_service, monkeypatch):
+        _, port = http_service
+        seen = []
+        handle = service_module._Handler.handle
+
+        def spy(handler):
+            seen.append(handler.connection.gettimeout())
+            handle(handler)
+
+        monkeypatch.setattr(service_module._Handler, "handle", spy)
+        assert request(port, "GET", "/config")[0] == 200
+        assert seen == [service_module.READ_TIMEOUT_S]
+        assert 0 < service_module.READ_TIMEOUT_S < float("inf")
+
+    def test_client_hang_up_prints_no_traceback(self, http_service, monkeypatch):
+        _, port = http_service
+        errors = []
+        monkeypatch.setattr(
+            service_module.ThreadingHTTPServer, "handle_error",
+            lambda server, request, address: errors.append(sys.exc_info()[1]),
+        )
+        payload = json.dumps({REQUEST_FIELD: "6060604052"}).encode()
+        whole = post_head(f"Content-Length: {len(payload)}\r\n".encode()) + payload
+        short = post_head(b"Content-Length: 100\r\n") + payload
+        for data in (whole, short):
+            sock = socket.create_connection(("127.0.0.1", port), timeout=2)
+            sock.sendall(data)
+            # close with a reset, before reading any reply
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+        assert request(port, "POST", "/predict", payload)[0] == 200  # still serving
+        assert errors == []
+
+
+EIP1167_HEAD = "363d3d373d3d3d363d73"
+EIP1167_TAIL = "5af43d82803e903d91602b57fd5bf3"
+
+
+def proxy_clone(address: bytes) -> str:
+    """EIP-1167 minimal proxy runtime code for a 20-byte target address."""
+    return EIP1167_HEAD + address.hex() + EIP1167_TAIL
+
+
+def count_admits(monkeypatch):
+    """The ids of every row the shared scan admits from now on."""
+    admitted = []
+    admit = mol_net.Scanner.admit
+
+    def spy(scanner, ids):
+        admitted.append(np.array(ids))
+        return admit(scanner, ids)
+
+    monkeypatch.setattr(mol_net.Scanner, "admit", spy)
+    return admitted
+
+
+OPS = ["6001", "52", "f1", "ff", "54", "55", "00", "0c", "7f"]
+
+
+class TestResultCache:
+    @settings(max_examples=60, deadline=None)
+    @given(contract=st.lists(st.sampled_from(OPS), max_size=90).map("".join))
+    def test_hit_is_bit_identical_to_miss_and_forward(self, contract):
+        service, model, vocab = make_service(timer=lambda: 0.0, max_sequence_length=64)
+        miss = service.predict_document(contract)
+        probs = service.predict_probabilities(contract)
+        assert service.predict_document(contract) == miss
+        assert service.predict_probabilities(contract) is probs  # served from the cache
+        seq = encode(preprocess(contract), vocab, 64)
+        assert probs.tobytes() == forward(model, seq.ids[None, :])[0].tobytes()
+
+    def test_proxy_clones_cost_one_scan_row(self, monkeypatch):
+        service, _, _ = make_service(timer=lambda: 0.0, max_sequence_length=64)
+        admitted = count_admits(monkeypatch)
+        first = service.predict_document(proxy_clone(bytes(range(20))))
+        second = service.predict_document(proxy_clone(bytes(range(100, 120))))
+        assert first == second
+        assert len(admitted) == 1
+        service.predict_document("6060604052")
+        assert len(admitted) == 2
+
+    def test_lru_keeps_its_bound_and_evicts_the_oldest(self, monkeypatch):
+        monkeypatch.setattr(service_module, "CACHE_ENTRIES", 3)
+        service, _, _ = make_service()
+        admitted = count_admits(monkeypatch)
+        a, b, c, d = ("52" * k for k in range(1, 5))  # distinct token-id sequences
+        misses = []
+        for contract in (a, b, c, a, d, c, a, d, b, c):
+            before = len(admitted)
+            service.predict_probabilities(contract)
+            misses.append(len(admitted) > before)
+            assert len(service._cache) <= 3
+        # d evicts b (a was used since), then b evicts c
+        assert misses == [True, True, True, False, True, False, False, False, True, True]
+
+    def test_errors_are_not_cached(self, monkeypatch):
+        service, _, vocab = make_service(vocab_size=4)
+        assert vocab.id_of("ff") >= 4  # a row the scan rejects at admission
+        admitted = count_admits(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(MalformedInputError):
+                service.predict_probabilities("ff")
+        assert len(admitted) == 2
+        with pytest.raises(MalformedInputError):
+            service.predict_probabilities("60zz")
+        assert len(service._cache) == 0
+
+    def test_returned_rows_are_read_only_copies(self):
+        service, _, _ = make_service()
+        miss = service.predict_probabilities("6060604052")
+        assert service.predict_probabilities("6060604052") is miss
+        assert miss.flags.owndata and not miss.flags.writeable
+        with pytest.raises(ValueError):
+            miss[0] = 1.0
+
+    def test_threads_posting_repeated_and_distinct_contracts_get_solo_documents(self):
+        contracts = distinct_contracts(6, seed=2) + [proxy_clone(bytes([k] * 20)) for k in range(4)]
+        alone = [
+            make_service(timer=lambda: 0.0, max_sequence_length=400)[0].predict_document(c)
+            for c in contracts
+        ]
+        service, _, _ = make_service(timer=lambda: 0.0, max_sequence_length=400)
+        got = {}
+
+        def post(k, port):
+            for j in range(2 * len(contracts)):
+                i = (j + k) % len(contracts)
+                got[k, j] = (i, request(port, "POST", "/predict", json.dumps({REQUEST_FIELD: contracts[i]})))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with serving(service) as port:
+                run_threads(post, [(k, port) for k in range(8)])
+        finally:
+            sys.setswitchinterval(old)
+        assert len(got) == 8 * 2 * len(contracts)
+        for i, answer in got.values():
+            assert answer == (200, alone[i])
+
+
+class TestBatchInvarianceSelfCheck:
+    def test_skewed_step_is_rejected(self, monkeypatch):
+        step = mol_net._gru_step
+
+        def skewed(ids_t, h_t, scan):
+            h_new, zr, c = step(ids_t, h_t, scan)
+            if len(h_t) == 3:  # one ulp off, only in a product of 3 rows
+                zr = np.nextafter(zr, np.inf)
+            return h_new, zr, c
+
+        monkeypatch.setattr(mol_net, "_gru_step", skewed)
+        with pytest.raises(ConfigError, match="2 and 3 rows"):
+            make_service()
+
+    def test_skewed_head_pre_activation_is_rejected(self, monkeypatch):
+        heads = mol_net._branch_heads
+
+        def skewed(stem_out, stacked):
+            probs, inputs, pre = heads(stem_out, stacked)
+            if len(stem_out) == 3:  # the final sigmoid may round this ulp away
+                pre[-1][-1] = np.nextafter(pre[-1][-1], np.inf)
+            return probs, inputs, pre
+
+        monkeypatch.setattr(mol_net, "_branch_heads", skewed)
+        with pytest.raises(ConfigError, match="2 and 3 rows"):
+            make_service()
+
+    def test_default_model_passes(self):
+        stem = StemConfig(vocab_size=78, embedding_dim=16, gru_hidden=64, max_sequence_length=64)
+        names = [f"class_{k}" for k in range(8)]
+        model = init_model(stem, [BranchConfig(n) for n in names], seed=3)
+        mol_net.Scanner(model).check_batch_invariance()
