@@ -9,12 +9,11 @@ formats owned by the library modules, so every artifact is inspectable.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
-from . import corpus, mol_net, service, tokenizer, trainer
-from .errors import ConfigError, EvmGuardError, ParseError
+from . import corpus, metrics, mol_net, service, tokenizer, trainer
+from .errors import ConfigError, EvmGuardError
 from .evm_bytecode import preprocess, render
 
 
@@ -64,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-vocab", required=True)
     p.add_argument("--history", help="write a training history CSV here")
-    p.add_argument("--max-seq-len", type=int, default=mol_net.DEFAULT_MAX_SEQUENCE_LENGTH)
+    p.add_argument("--max-seq-len", type=int, default=tokenizer.DEFAULT_MAX_SEQUENCE_LENGTH)
     p.add_argument("--embedding-dim", type=int, default=16)
     p.add_argument("--gru-hidden", type=int, default=mol_net.DEFAULT_GRU_HIDDEN)
     p.add_argument("--dropout", type=float, default=mol_net.DEFAULT_DROPOUT)
@@ -141,7 +140,7 @@ def _print_report(report, names) -> None:
 
 
 def _cmd_preprocess(args) -> int:
-    hex_text = Path(args.hexfile).read_text(encoding="utf-8").strip()
+    hex_text = Path(args.hexfile).read_text(encoding="utf-8", errors="replace").strip()
     rendered = render(preprocess(hex_text))
     if args.out:
         Path(args.out).write_text(rendered + "\n", encoding="utf-8")
@@ -162,30 +161,15 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _read_bytecodes(path) -> list[tuple[str, str]]:
-    rows = []
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("missing header row", line=1) from None
-        if header != ["address", "bytecode"]:
-            raise ParseError(f"bad header {header!r}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise ParseError(f"expected 2 columns, got {len(row)}", line=lineno)
-            rows.append((row[0], row[1]))
-    return rows
-
-
 def _cmd_label(args) -> int:
     catalog = corpus.default_catalog()
     profiles = corpus.read_profiles(args.profiles)
     reports_by_address = corpus.read_reports(args.reports)
     records = []
     skipped = 0
-    for address, hex_text in _read_bytecodes(args.bytecodes):
+    rows = corpus.read_csv(args.bytecodes, ["address", "bytecode"])
+    next(rows)
+    for _, (address, hex_text) in rows:
         reports = reports_by_address.get(address)
         if not reports:
             skipped += 1
@@ -210,12 +194,8 @@ def _cmd_chunk(args) -> int:
     train_recs, val_recs, test_recs = corpus.split(list(full.records), args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus.write_chunk(
-        corpus.Chunk(index=0, records=tuple(val_recs)), out_dir / "validation.csv", catalog
-    )
-    corpus.write_chunk(
-        corpus.Chunk(index=0, records=tuple(test_recs)), out_dir / "test.csv", catalog
-    )
+    for name, recs in (("validation.csv", val_recs), ("test.csv", test_recs)):
+        corpus.write_chunk(corpus.Chunk(index=0, records=tuple(recs)), out_dir / name, catalog)
     chunks = corpus.chunk(train_recs, args.chunk_size, args.seed)
     for c in chunks:
         corpus.write_chunk(c, out_dir / f"chunk_{c.index:04d}.csv", catalog)
@@ -298,9 +278,7 @@ def _cmd_eval(args) -> int:
     report = trainer.evaluate(model, enc, args.threshold, branch_subset=names)
     _print_report(report, names)
     if args.report:
-        from .metrics import write_report_csv
-
-        write_report_csv(report, args.report)
+        metrics.write_report_csv(report, args.report)
     return 0
 
 
@@ -315,7 +293,7 @@ def _cmd_serve(args) -> int:
 def _cmd_predict(args) -> int:
     model, vocab = _load_model_and_vocab(args.model, args.vocab)
     svc = service.PredictionService(model, vocab, raw=args.raw)
-    hex_text = Path(args.hexfile).read_text(encoding="utf-8").strip()
+    hex_text = Path(args.hexfile).read_text(encoding="utf-8", errors="replace").strip()
     print(svc.predict_document(hex_text))
     return 0
 
@@ -337,10 +315,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except EvmGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (EvmGuardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

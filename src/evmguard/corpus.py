@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CoverageError, ParseError, ShortageError
+from .errors import ConfigError, CoverageError, ParseError, ShortageError, not_utf8
 from .evm_bytecode import parse_rendered, render
 
 DEFAULT_CLASS_NAMES = (
@@ -211,57 +211,67 @@ def write_chunk(chk: Chunk, path, catalog: ClassCatalog) -> None:
             )
 
 
+def read_csv(path, header: list[str] | None = None):
+    """Stream `(line number, row)` pairs of a UTF-8 CSV file, header row first.
+
+    A missing header, one other than `header` (if given), a row not as wide
+    as the header, bad CSV or bytes that are not UTF-8 raise ParseError.
+    """
+    with open(path, encoding="utf-8", newline="") as f:
+        rows = csv.reader(f)
+        try:
+            first = next(rows, None)
+            if first is None:
+                raise ParseError("missing header row", line=1)
+            if header is not None and first != header:
+                raise ParseError(f"bad header {first!r}", line=1)
+            yield 1, first
+            for lineno, row in enumerate(rows, start=2):
+                if len(row) != len(first):
+                    raise ParseError(f"expected {len(first)} columns, got {len(row)}", line=lineno)
+                yield lineno, row
+        except csv.Error as exc:
+            raise ParseError(f"bad CSV: {exc}", line=rows.line_num) from None
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
+
+
 def read_chunk(path, catalog: ClassCatalog | None = None, index: int = 0) -> Chunk:
     """Read one chunk CSV; with catalog=None the class list comes from the header."""
+    rows = read_csv(path, None if catalog is None else ["address", "bytecode", *catalog.names])
+    _, header = next(rows)
+    if catalog is None:
+        catalog = _header_catalog(header)
     records = []
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+    for lineno, row in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("missing header row", line=1) from None
-        if catalog is None:
-            if header[:2] != ["address", "bytecode"] or len(header) < 3:
-                raise ParseError(f"bad header {header!r}", line=1)
-            catalog = ClassCatalog(tuple(header[2:]))
-        expected_header = ["address", "bytecode", *catalog.names]
-        if header != expected_header:
-            raise ParseError(f"bad header {header!r}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected_header):
+            tokens = tuple(parse_rendered(row[1]))
+        except ParseError as exc:
+            raise ParseError(f"bytecode column: {exc}", line=lineno) from None
+        labels = []
+        for name, cell in zip(catalog.names, row[2:]):
+            if cell not in ("0", "1"):
                 raise ParseError(
-                    f"expected {len(expected_header)} columns, got {len(row)}",
+                    f"label column {name!r} must be 0 or 1, got {cell!r}",
                     line=lineno,
                 )
-            address, rendered = row[0], row[1]
-            try:
-                tokens = tuple(parse_rendered(rendered))
-            except ParseError as exc:
-                raise ParseError(f"bytecode column: {exc}", line=lineno) from None
-            labels = []
-            for name, cell in zip(catalog.names, row[2:]):
-                if cell not in ("0", "1"):
-                    raise ParseError(
-                        f"label column {name!r} must be 0 or 1, got {cell!r}",
-                        line=lineno,
-                    )
-                labels.append(cell == "1")
-            records.append(
-                ContractRecord(address=address, tokens=tokens, labels=tuple(labels))
-            )
+            labels.append(cell == "1")
+        records.append(
+            ContractRecord(address=row[0], tokens=tokens, labels=tuple(labels))
+        )
     return Chunk(index=index, records=tuple(records))
+
+
+def _header_catalog(header: list[str]) -> ClassCatalog:
+    if header[:2] != ["address", "bytecode"] or len(header) < 3:
+        raise ParseError(f"bad header {header!r}", line=1)
+    return ClassCatalog(tuple(header[2:]))
 
 
 def read_corpus_catalog(path) -> ClassCatalog:
     """Class catalog implied by a chunk CSV header, without loading rows."""
-    with open(path, encoding="utf-8", newline="") as f:
-        try:
-            header = next(csv.reader(f))
-        except StopIteration:
-            raise ParseError("missing header row", line=1) from None
-    if header[:2] != ["address", "bytecode"] or len(header) < 3:
-        raise ParseError(f"bad header {header!r}", line=1)
-    return ClassCatalog(tuple(header[2:]))
+    _, header = next(read_csv(path))
+    return _header_catalog(header)
 
 
 def write_profiles(profiles: list[ToolProfile], path) -> None:
@@ -275,49 +285,32 @@ def write_profiles(profiles: list[ToolProfile], path) -> None:
 
 def read_profiles(path) -> list[ToolProfile]:
     scores: dict[str, dict[int, float]] = {}
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+    rows = read_csv(path, ["tool", "class_id", "f1"])
+    next(rows)
+    for lineno, row in rows:
+        tool, cid_text, f1_text = row
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("missing header row", line=1) from None
-        if header != ["tool", "class_id", "f1"]:
-            raise ParseError(f"bad header {header!r}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise ParseError(f"expected 3 columns, got {len(row)}", line=lineno)
-            tool, cid_text, f1_text = row
-            try:
-                cid = int(cid_text)
-                score = float(f1_text)
-            except ValueError:
-                raise ParseError(f"bad numeric cell in {row!r}", line=lineno) from None
-            scores.setdefault(tool, {})[cid] = score
+            cid = int(cid_text)
+            score = float(f1_text)
+        except ValueError:
+            raise ParseError(f"bad numeric cell in {row!r}", line=lineno) from None
+        scores.setdefault(tool, {})[cid] = score
     return [ToolProfile(tool_name=t, f1_by_class=by) for t, by in sorted(scores.items())]
 
 
 def read_reports(path) -> dict[str, list[DetectorReport]]:
     """Detector verdicts grouped by contract address."""
     verdicts: dict[str, dict[str, dict[int, bool]]] = {}
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+    rows = read_csv(path, ["tool", "address", "class_id", "verdict"])
+    next(rows)
+    for lineno, (tool, address, cid_text, verdict) in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("missing header row", line=1) from None
-        if header != ["tool", "address", "class_id", "verdict"]:
-            raise ParseError(f"bad header {header!r}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ParseError(f"expected 4 columns, got {len(row)}", line=lineno)
-            tool, address, cid_text, verdict = row
-            try:
-                cid = int(cid_text)
-            except ValueError:
-                raise ParseError(f"bad class_id {cid_text!r}", line=lineno) from None
-            if verdict not in ("0", "1"):
-                raise ParseError(f"verdict must be 0 or 1, got {verdict!r}", line=lineno)
-            verdicts.setdefault(address, {}).setdefault(tool, {})[cid] = verdict == "1"
+            cid = int(cid_text)
+        except ValueError:
+            raise ParseError(f"bad class_id {cid_text!r}", line=lineno) from None
+        if verdict not in ("0", "1"):
+            raise ParseError(f"verdict must be 0 or 1, got {verdict!r}", line=lineno)
+        verdicts.setdefault(address, {}).setdefault(tool, {})[cid] = verdict == "1"
     return {
         address: [
             DetectorReport(tool_name=t, verdicts=v) for t, v in sorted(by_tool.items())

@@ -37,3 +37,14 @@ class UsageError(EvmGuardError):
 
 class LoadError(EvmGuardError):
     """A model container cannot be loaded (corrupt, truncated, wrong version)."""
+
+
+def not_utf8(path) -> ParseError:
+    """ParseError naming the line of the first bytes in `path` that are not UTF-8."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return ParseError("not UTF-8 text", line=data.count(b"\n", 0, exc.start) + 1)
+    return ParseError("not UTF-8 text")

@@ -7,6 +7,8 @@ rest of the pipeline consumes:
 
 Tokens are two lowercase hex digits ("60", "01", ...) with the special
 token "xx" standing for byte values the instruction table does not assign.
+The table is pinned to one EVM revision (Istanbul, `data/opcodes.txt`) and
+is not pluggable: every caller decodes against the same 256 widths.
 Normalization collapses the PUSH/DUP/SWAP/LOG families onto their first
 member, so the normalized alphabet never contains 0x61-0x7f, 0x81-0x8f,
 0x91-0x9f, or 0xa1-0xa4.
@@ -16,10 +18,8 @@ from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Mapping
-from dataclasses import dataclass, field
 from importlib import resources
-from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import MalformedInputError, ParseError
 
@@ -52,81 +52,21 @@ def _family_token(tok: str) -> str:
 _NORMALIZED = {a + b: _family_token(a + b) for a in _HEX_DIGITS for b in _HEX_DIGITS}
 
 
-@dataclass(frozen=True)
-class OpcodeTable:
-    """Instruction table: byte value -> (mnemonic, inline operand byte count).
-
-    Read-only once built: `entries` is a mapping proxy over a private copy,
-    so a table can be shared by every caller in the process.
-    """
-
-    entries: Mapping[int, tuple[str, int]]
-    # bytes consumed by an instruction starting with each byte value, 0 if unassigned
-    widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        widths = [0] * 256
-        for byte, (mnemonic, operands) in self.entries.items():
-            if not 0 <= byte <= 0xFF:
-                raise ParseError(f"byte value {byte:#x} out of range")
-            if operands < 0:
-                raise ParseError(f"{mnemonic}: negative operand count")
-            if 0x60 <= byte <= 0x7F and operands != byte - 0x60 + 1:
-                raise ParseError(
-                    f"{mnemonic} ({byte:#04x}) must carry {byte - 0x60 + 1} operand bytes"
-                )
-            widths[byte] = 1 + operands
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
-        object.__setattr__(self, "widths", tuple(widths))
-
-    def mnemonic(self, byte: int) -> str | None:
-        entry = self.entries.get(byte)
-        return entry[0] if entry else None
-
-    def operand_count(self, byte: int) -> int:
-        entry = self.entries.get(byte)
-        return entry[1] if entry else 0
-
-    def __contains__(self, byte: int) -> bool:
-        return byte in self.entries
-
-
-def load_table(lines) -> OpcodeTable:
-    """Parse an opcode table from an iterable of text lines.
-
-    Record format: ``<hex_byte> <MNEMONIC> <operand_count>``; blank lines and
-    lines starting with ``#`` are skipped.
-    """
-    entries: dict[int, tuple[str, int]] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"expected 3 fields, got {len(parts)}", line=lineno)
-        try:
-            byte = int(parts[0], 16)
-        except ValueError:
-            raise ParseError(f"bad byte value {parts[0]!r}", line=lineno) from None
-        try:
-            operands = int(parts[2])
-        except ValueError:
-            raise ParseError(f"bad operand count {parts[2]!r}", line=lineno) from None
-        if byte in entries:
-            raise ParseError(f"duplicate entry for byte {byte:#04x}", line=lineno)
-        entries[byte] = (parts[1], operands)
-    return OpcodeTable(entries)
+class ByteTable(NamedTuple):
+    widths: tuple[int, ...]  # bytes taken by the instruction at each byte value, 0 if unassigned
+    entries: frozenset[int]  # the byte values opcodes.txt assigns
 
 
 @functools.cache
-def default_table() -> OpcodeTable:
-    """The instruction table shipped with the package (pinned revision).
-
-    Parsed once per process; every caller shares the same read-only table.
-    """
+def default_table() -> ByteTable:
+    """The instruction table read once from the pinned opcodes.txt."""
+    widths = [0] * 256
     text = resources.files("evmguard.data").joinpath("opcodes.txt").read_text()
-    return load_table(text.splitlines())
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            byte, _mnemonic, operands = line.split()
+            widths[int(byte, 16)] = 1 + int(operands)
+    return ByteTable(tuple(widths), frozenset(b for b, w in enumerate(widths) if w))
 
 
 def parse_hex(text: str) -> bytes:
@@ -148,15 +88,13 @@ def parse_hex(text: str) -> bytes:
     return bytes.fromhex(body)
 
 
-def disassemble(raw: bytes, table: OpcodeTable | None = None) -> list[str]:
+def disassemble(raw: bytes) -> list[str]:
     """Linear-scan decode into opcode tokens, consuming PUSH operand bytes.
 
     Unknown bytes become the "xx" sentinel; a PUSH whose operand runs past
     the end of code still emits its token. Never raises.
     """
-    if table is None:
-        table = default_table()
-    widths = table.widths
+    widths = default_table().widths
     tokens: list[str] = []
     i = 0
     n = len(raw)
@@ -198,6 +136,6 @@ def parse_rendered(text: str) -> list[str]:
     return tokens
 
 
-def preprocess(hex_text: str, table: OpcodeTable | None = None) -> list[str]:
+def preprocess(hex_text: str) -> list[str]:
     """Full hex-to-normalized-tokens pipeline used by corpus building and serving."""
-    return normalize(disassemble(parse_hex(hex_text), table))
+    return normalize(disassemble(parse_hex(hex_text)))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 AGGREGATE_ROW_KEY = "__all__"
+PROB_EPS = 1e-7
 
 
 @dataclass(frozen=True)
@@ -31,12 +32,17 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
+def _matched(a, b, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Both arrays as `dtype`; ValueError unless their shapes match."""
+    a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    return a, b
+
+
 def confusion(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionCounts:
     """Counts for one class column of 0/1 values."""
-    t = np.asarray(y_true, dtype=bool)
-    p = np.asarray(y_pred, dtype=bool)
-    if t.shape != p.shape:
-        raise ValueError(f"shape mismatch {t.shape} vs {p.shape}")
+    t, p = _matched(y_true, y_pred, bool)
     return ConfusionCounts(
         tp=int(np.sum(t & p)),
         fp=int(np.sum(~t & p)),
@@ -77,10 +83,7 @@ def weighted_f1(per_class: list[ConfusionCounts]) -> float:
 
 def jaccard(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Micro Jaccard: intersection over union pooled across every cell."""
-    t = np.asarray(y_true, dtype=bool)
-    p = np.asarray(y_pred, dtype=bool)
-    if t.shape != p.shape:
-        raise ValueError(f"shape mismatch {t.shape} vs {p.shape}")
+    t, p = _matched(y_true, y_pred, bool)
     inter = int(np.sum(t & p))
     union = int(np.sum(t | p))
     return _ratio(inter, union)
@@ -88,23 +91,18 @@ def jaccard(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 
 def hamming_loss(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Fraction of label cells that disagree."""
-    t = np.asarray(y_true, dtype=bool)
-    p = np.asarray(y_pred, dtype=bool)
-    if t.shape != p.shape:
-        raise ValueError(f"shape mismatch {t.shape} vs {p.shape}")
+    t, p = _matched(y_true, y_pred, bool)
     if t.size == 0:
         return 0.0
     return float(np.sum(t != p)) / t.size
 
 
-def mean_bce(y_true: np.ndarray, probs: np.ndarray, eps: float = 1e-7) -> float:
+def mean_bce(y_true: np.ndarray, probs: np.ndarray, eps: float = PROB_EPS) -> float:
     """Binary cross-entropy averaged over all cells, probabilities clamped."""
-    y = np.asarray(y_true, dtype=np.float64)
-    p = np.clip(np.asarray(probs, dtype=np.float64), eps, 1.0 - eps)
-    if y.shape != p.shape:
-        raise ValueError(f"shape mismatch {y.shape} vs {p.shape}")
+    y, p = _matched(y_true, probs, np.float64)
     if y.size == 0:
         return 0.0
+    p = np.clip(p, eps, 1.0 - eps)
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
@@ -175,22 +173,7 @@ def write_report_csv(report: MetricsReport, path) -> None:
         writer = csv.writer(f)
         writer.writerow(["class", "precision", "recall", "f1", "fpr", "fnr"])
         for m in report.per_class:
-            writer.writerow(
-                [
-                    m.name,
-                    f"{m.precision:.6f}",
-                    f"{m.recall:.6f}",
-                    f"{m.f1:.6f}",
-                    f"{m.fpr:.6f}",
-                    f"{m.fnr:.6f}",
-                ]
-            )
-        writer.writerow(
-            [
-                AGGREGATE_ROW_KEY,
-                f"{report.weighted_f1:.6f}",
-                f"{report.jaccard:.6f}",
-                f"{report.hamming:.6f}",
-                f"{report.mean_bce:.6f}",
-            ]
-        )
+            cells = (m.precision, m.recall, m.f1, m.fpr, m.fnr)
+            writer.writerow([m.name, *(f"{v:.6f}" for v in cells)])
+        cells = (report.weighted_f1, report.jaccard, report.hamming, report.mean_bce)
+        writer.writerow([AGGREGATE_ROW_KEY, *(f"{v:.6f}" for v in cells)])

@@ -37,19 +37,19 @@ gradient from one scatter-add of the input deltas by token id.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, LoadError, MalformedInputError, UsageError
+from .metrics import PROB_EPS, mean_bce
+from .tokenizer import DEFAULT_MAX_SEQUENCE_LENGTH
 
 DEFAULT_GRU_HIDDEN = 64
 DEFAULT_DROPOUT = 0.2
-DEFAULT_MAX_SEQUENCE_LENGTH = 4100
 DEFAULT_DENSE_WIDTHS = (128, 64, 1)
-
-PROB_EPS = 1e-7
 
 _MAGIC = b"EVMG"
 _VERSION = 1
@@ -148,20 +148,42 @@ class MolModel:
         return [name for name in self.params if name not in self.frozen]
 
 
-def _init_branch_params(
-    rng: np.random.Generator,
-    config: BranchConfig,
-    input_width: int,
-    dtype,
-) -> dict[str, np.ndarray]:
-    params = {}
-    fan_in = input_width
+def _branch_shapes(config: BranchConfig, fan_in: int) -> dict[str, tuple]:
+    shapes = {}
     for i, width in enumerate(config.dense_widths):
-        params[f"branch:{config.class_name}:w{i}"] = _uniform(
-            rng, (fan_in, width), fan_in, dtype
-        )
-        params[f"branch:{config.class_name}:b{i}"] = np.zeros(width, dtype=dtype)
+        shapes[f"branch:{config.class_name}:w{i}"] = (fan_in, width)
+        shapes[f"branch:{config.class_name}:b{i}"] = (width,)
         fan_in = width
+    return shapes
+
+
+def _block_shapes(stem: StemConfig, branches: list[BranchConfig]) -> dict[str, tuple]:
+    """Every parameter block's shape, in init_model's draw order."""
+    names = {b.class_name for b in branches}
+    if len(names) != len(branches):
+        raise ConfigError("branch class names must be unique")
+    if not branches:
+        raise ConfigError("need at least one branch")
+    d, h = stem.embedding_dim, stem.gru_hidden
+    shapes = {"embedding": (stem.vocab_size, d)}
+    for g in _GATES:
+        shapes.update({f"gru/w{g}": (d, h), f"gru/u{g}": (h, h), f"gru/b{g}": (h,)})
+    for b in branches:
+        shapes.update(_branch_shapes(b, h))
+    return shapes
+
+
+def _draw(shapes: dict[str, tuple], seed: int, dtype) -> dict[str, np.ndarray]:
+    """Fan-in uniform weights drawn in order from one generator; zero biases."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape in shapes.items():
+        if len(shape) == 1:
+            params[name] = np.zeros(shape, dtype=dtype)
+            continue
+        # the embedding is a lookup table: a row's fan-in is its width
+        fan_in = shape[1] if name == "embedding" else shape[0]
+        params[name] = _uniform(rng, shape, fan_in, dtype)
     return params
 
 
@@ -177,22 +199,7 @@ def init_model(
     by gate (z, r, c), then each branch layer by layer. Biases consume no
     randomness.
     """
-    names = {b.class_name for b in branches}
-    if len(names) != len(branches):
-        raise ConfigError("branch class names must be unique")
-    if not branches:
-        raise ConfigError("need at least one branch")
-    rng = np.random.default_rng(seed)
-    d, h = stem.embedding_dim, stem.gru_hidden
-    params: dict[str, np.ndarray] = {
-        "embedding": _uniform(rng, (stem.vocab_size, d), d, dtype)
-    }
-    for g in _GATES:
-        params[f"gru/w{g}"] = _uniform(rng, (d, h), d, dtype)
-        params[f"gru/u{g}"] = _uniform(rng, (h, h), h, dtype)
-        params[f"gru/b{g}"] = np.zeros(h, dtype=dtype)
-    for b in branches:
-        params.update(_init_branch_params(rng, b, h, dtype))
+    params = _draw(_block_shapes(stem, branches), seed, dtype)
     return MolModel(stem=stem, branches=list(branches), params=params)
 
 
@@ -200,11 +207,8 @@ def add_branch(model: MolModel, config: BranchConfig, seed: int) -> None:
     """Append a freshly initialized branch; every existing block is untouched."""
     if config.class_name in model.class_names:
         raise ConfigError(f"branch {config.class_name!r} already exists")
-    dtype = model.params["embedding"].dtype
-    rng = np.random.default_rng(seed)
-    model.params.update(
-        _init_branch_params(rng, config, model.stem.gru_hidden, dtype)
-    )
+    shapes = _branch_shapes(config, model.stem.gru_hidden)
+    model.params.update(_draw(shapes, seed, model.params["embedding"].dtype))
     model.branches.append(config)
 
 
@@ -535,12 +539,10 @@ class Scanner:
 
 def bce_loss(labels: np.ndarray, probs: np.ndarray, eps: float = PROB_EPS) -> float:
     """Mean of -(y log p + (1-y) log(1-p)) over every (sample, branch) cell."""
-    y = np.asarray(labels, dtype=np.float64)
-    p = np.asarray(probs, dtype=np.float64)
-    if y.shape != p.shape:
-        raise ConfigError(f"labels shape {y.shape} != probabilities shape {p.shape}")
-    p = np.clip(p, eps, 1.0 - eps)
-    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+    y, p = np.shape(labels), np.shape(probs)
+    if y != p:
+        raise ConfigError(f"labels shape {y} != probabilities shape {p}")
+    return mean_bce(labels, probs, eps)
 
 
 def backward(
@@ -755,43 +757,72 @@ def save_model(model: MolModel, path) -> None:
             f.write(np.ascontiguousarray(model.params[name], dtype="<f4").tobytes())
 
 
+def _header_configs(header) -> tuple[StemConfig, list[BranchConfig]]:
+    """Configs a header declares: LoadError on wrong keys or types, ConfigError on bad values."""
+    try:
+        stem, branches, frozen = header["stem"], header["branches"], header["frozen"]
+        well_formed = (
+            set(header) == {"stem", "branches", "frozen", "vocab_fingerprint", "blocks"}
+            and set(stem) == {f.name for f in fields(StemConfig)}
+            and all(type(v) is int for k, v in stem.items() if k != "dropout_rate")
+            and type(stem["dropout_rate"]) in (int, float)
+            and all(
+                set(b) == {"class_name", "dense_widths"}
+                and type(b["class_name"]) is str
+                and all(type(w) is int for w in b["dense_widths"])
+                for b in branches
+            )
+            and type(frozen) is list
+            and all(type(name) is str for name in frozen)
+            and type(header["vocab_fingerprint"]) in (str, type(None))
+        )
+    except (KeyError, TypeError, AttributeError):
+        well_formed = False
+    if not well_formed:
+        raise LoadError("malformed model header")
+    return StemConfig(**stem), [
+        BranchConfig(b["class_name"], tuple(b["dense_widths"])) for b in branches
+    ]
+
+
 def load_model(path) -> MolModel:
     with open(path, "rb") as f:
         blob = f.read()
-    off = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise LoadError(f"truncated model file while reading {what}")
-        out = blob[off : off + n]
-        off += n
-        return out
-
-    if take(4, "magic") != _MAGIC:
+    if blob[:4] != _MAGIC:
         raise LoadError("not a model file (bad magic)")
-    (version,) = struct.unpack("<I", take(4, "version"))
+    if len(blob) < 16:
+        raise LoadError("truncated model file while reading version and header length")
+    version, header_len = struct.unpack_from("<IQ", blob, 4)
     if version != _VERSION:
         raise LoadError(f"model file version {version}, this build reads {_VERSION}")
-    (header_len,) = struct.unpack("<Q", take(8, "header length"))
+    off = 16 + header_len
+    if off > len(blob):
+        raise LoadError("truncated model file while reading header")
     try:
-        header = json.loads(take(header_len, "header").decode("utf-8"))
+        header = json.loads(blob[16:off].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise LoadError(f"corrupt model header: {exc}") from None
 
-    stem = StemConfig(**header["stem"])
-    branches = [
-        BranchConfig(b["class_name"], tuple(b["dense_widths"]))
-        for b in header["branches"]
-    ]
+    try:
+        stem, branches = _header_configs(header)
+        shapes = _block_shapes(stem, branches)
+    except ConfigError as exc:
+        raise LoadError(f"bad model header: {exc}") from None
+    if header["blocks"] != [{"name": n, "shape": list(s)} for n, s in shapes.items()]:
+        raise LoadError("model blocks do not match the stem and branches it declares")
+    if not set(header["frozen"]) <= shapes.keys():
+        raise LoadError("model header freezes a block it does not have")
+    n_floats = sum(math.prod(s) for s in shapes.values())
+    spare = len(blob) - off - 4 * n_floats
+    if spare < 0:
+        raise LoadError("truncated model file while reading blocks")
+    if spare > 0:
+        raise LoadError(f"{spare} trailing bytes after last block")
+    floats = np.frombuffer(blob, dtype="<f4", count=n_floats, offset=off)
     params = {}
-    for block in header["blocks"]:
-        shape = tuple(block["shape"])
-        n_bytes = 4 * int(np.prod(shape, dtype=np.int64)) if shape else 4
-        raw = take(n_bytes, f"block {block['name']}")
-        params[block["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    if off != len(blob):
-        raise LoadError(f"{len(blob) - off} trailing bytes after last block")
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        params[name], floats = floats[:size].reshape(shape).copy(), floats[size:]
     return MolModel(
         stem=stem,
         branches=branches,

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, not_utf8
 
 PAD_TOKEN = "<PAD>"
 OOV_TOKEN = "<OOV>"
@@ -116,22 +116,26 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 def load_vocab(path) -> Vocabulary:
     mapping: dict[str, int] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError("expected `<token>\\t<id>`", line=lineno)
-            token, id_text = parts
-            try:
-                idx = int(id_text)
-            except ValueError:
-                raise ParseError(f"bad id {id_text!r}", line=lineno) from None
-            if token in mapping:
-                raise ParseError(f"duplicate token {token!r}", line=lineno)
-            if idx in mapping.values():
-                raise ParseError(f"duplicate id {idx}", line=lineno)
-            mapping[token] = idx
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = list(f)
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError("expected `<token>\\t<id>`", line=lineno)
+        token, id_text = parts
+        try:
+            idx = int(id_text)
+        except ValueError:
+            raise ParseError(f"bad id {id_text!r}", line=lineno) from None
+        if token in mapping:
+            raise ParseError(f"duplicate token {token!r}", line=lineno)
+        if idx in mapping.values():
+            raise ParseError(f"duplicate id {idx}", line=lineno)
+        mapping[token] = idx
     return Vocabulary(mapping)

@@ -40,6 +40,12 @@ class TestPreprocess:
         assert run(["preprocess", hexfile]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_non_utf8_hexfile_names_position(self, tmp_path, capsys):
+        hexfile = tmp_path / "code.hex"
+        hexfile.write_bytes(b"60\xff01")
+        assert run(["preprocess", hexfile]) == 1
+        assert capsys.readouterr().err == "error: invalid hex digit '\ufffd' at position 2\n"
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert run(["preprocess", tmp_path / "absent.hex"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -270,3 +276,22 @@ class TestErrors:
         )
         assert rc == 1
         assert "no chunk_" in capsys.readouterr().err
+
+    def test_non_utf8_inputs_exit_1_with_error_line(self, trained, capsys):
+        bad = trained["tmp"] / "bad.csv"
+        bad.write_bytes(b"address,bytecode\n0x\xff,6001\n")
+        good = trained["chunks_dir"] / "validation.csv"
+        profiles, reports = trained["tmp"] / "profiles.csv", trained["tmp"] / "reports.csv"
+        profiles.write_text("tool,class_id,f1\n")
+        reports.write_text("tool,address,class_id,verdict\n")
+        commands = [
+            ["label", "--bytecodes", bad, "--reports", reports, "--profiles", profiles,
+             "--out", trained["tmp"] / "out.csv"],
+            ["chunk", "--corpus", bad, "--out-dir", trained["tmp"] / "out"],
+            ["eval", "--model", trained["model"], "--vocab", bad, "--data", good],
+            ["serve", "--model", trained["model"], "--vocab", bad, "--port", 0],
+        ]
+        for argv in commands:
+            assert run(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: line 2: not UTF-8 text"), (argv[0], err)

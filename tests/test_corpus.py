@@ -1,9 +1,13 @@
 """Label arbitration, balancing, splitting, chunking, CSV round trips, synthesis."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evmguard import cli
 from evmguard.corpus import (
     Chunk,
     ClassCatalog,
@@ -19,6 +23,7 @@ from evmguard.corpus import (
     default_synth_spec,
     read_chunk,
     read_corpus_catalog,
+    read_csv,
     read_profiles,
     read_reports,
     split,
@@ -26,7 +31,13 @@ from evmguard.corpus import (
     write_chunk,
     write_profiles,
 )
-from evmguard.errors import ConfigError, CoverageError, ParseError, ShortageError
+from evmguard.errors import (
+    ConfigError,
+    CoverageError,
+    EvmGuardError,
+    ParseError,
+    ShortageError,
+)
 
 CAT2 = ClassCatalog(("A", "B"))
 
@@ -283,6 +294,93 @@ class TestProfilesAndReportsCsv:
         path.write_text("tool,address,class_id,verdict\nt,0xaa,1,yes\n")
         with pytest.raises(ParseError, match="line 2"):
             read_reports(path)
+
+
+def label_bytecodes(path):
+    """Run the `label` command, errors uncaught, with `path` as its `address,bytecode` input.
+
+    Rows with address "A" have a report, so their bytecode cell is preprocessed.
+    """
+    profiles, reports = path.with_name("profiles.csv"), path.with_name("reports.csv")
+    profiles.write_text("tool,class_id,f1\n" + "".join(f"t,{c},0.5\n" for c in range(1, 9)))
+    reports.write_text("tool,address,class_id,verdict\nt,A,1,1\n")
+    args = cli.build_parser().parse_args(
+        ["label", "--bytecodes", str(path), "--reports", str(reports),
+         "--profiles", str(profiles), "--out", str(path.with_name("out.csv"))]
+    )
+    return cli._cmd_label(args)
+
+
+# every CSV reader in the package, with the header of the format it reads
+CSV_READERS = {
+    "chunk": (read_chunk, "address,bytecode,A,B"),
+    "chunk_with_catalog": (lambda path: read_chunk(path, CAT2), "address,bytecode,A,B"),
+    "corpus_catalog": (read_corpus_catalog, "address,bytecode,A,B"),
+    "profiles": (read_profiles, "tool,class_id,f1"),
+    "reports": (read_reports, "tool,address,class_id,verdict"),
+    "label_bytecodes": (label_bytecodes, "address,bytecode"),
+}
+
+
+class TestReadCsv:
+    def test_streams_numbered_rows_header_first(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text('a,b\n1,"x\ny"\n3,4\n')
+        rows = read_csv(path, ["a", "b"])
+        assert next(rows) == (1, ["a", "b"])
+        assert list(rows) == [(2, ["1", "x\ny"]), (3, ["3", "4"])]
+
+    def test_checks_header_and_width(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("")
+        with pytest.raises(ParseError, match="line 1: missing header row"):
+            list(read_csv(path))
+        path.write_text("a,b\n1,2\n3\n")
+        with pytest.raises(ParseError, match="line 1: bad header"):
+            list(read_csv(path, ["a", "c"]))
+        with pytest.raises(ParseError, match="line 3: expected 2 columns, got 1"):
+            list(read_csv(path))
+
+    def test_csv_syntax_error_is_parse_error(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("a,b\n1,2\n3," + "9" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(ParseError, match="line 3: bad CSV: field larger"):
+            list(read_csv(path))
+
+    @pytest.mark.parametrize("name", sorted(CSV_READERS))
+    def test_non_utf8_byte_names_its_line(self, tmp_path, name):
+        reader, header = CSV_READERS[name]
+        path = tmp_path / "f.csv"
+        path.write_bytes(header.encode() + b"\n0x\xff" + b",0" * header.count(",") + b"\n")
+        with pytest.raises(ParseError, match="line 2: not UTF-8 text"):
+            reader(path)
+
+
+_CELLS = st.one_of(
+    st.sampled_from(["0", "1", "2", "", "60 00", "xx", "0.5", "nan", "-1", "A", "t"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CSV_READERS)),
+    rows=st.lists(st.lists(_CELLS, min_size=1, max_size=5), max_size=6),
+    tail=st.binary(max_size=6),
+    raw=st.one_of(st.none(), st.binary(max_size=200)),
+)
+def test_csv_readers_return_or_raise_package_errors(tmp_path_factory, name, rows, tail, raw):
+    reader, header = CSV_READERS[name]
+    if raw is None:  # random rows after a valid header
+        text = io.StringIO(newline="")
+        csv.writer(text).writerows(rows)
+        raw = f"{header}\r\n{text.getvalue()}".encode() + tail
+    path = tmp_path_factory.mktemp("fuzz") / "f.csv"
+    path.write_bytes(raw)
+    try:
+        reader(path)
+    except EvmGuardError:
+        pass
 
 
 class TestSynth:

@@ -9,10 +9,8 @@ from hypothesis import given, strategies as st
 from evmguard.errors import MalformedInputError, ParseError
 from evmguard.evm_bytecode import (
     INVALID_TOKEN,
-    OpcodeTable,
     default_table,
     disassemble,
-    load_table,
     normalize,
     parse_hex,
     parse_rendered,
@@ -21,6 +19,31 @@ from evmguard.evm_bytecode import (
 )
 
 TABLE = default_table()
+
+
+def _operand_counts_from_text() -> dict[int, int]:
+    """byte -> operand count, read straight from the text of opcodes.txt."""
+    text = resources.files("evmguard.data").joinpath("opcodes.txt").read_text()
+    counts = {}
+    for line in text.splitlines():
+        fields = line.split()
+        if fields and not fields[0].startswith("#"):
+            assert len(fields) == 3 and int(fields[0], 16) not in counts
+            counts[int(fields[0], 16)] = int(fields[2])
+    return counts
+
+
+OPERAND_COUNTS = _operand_counts_from_text()
+
+
+def _reference_preprocess(raw: bytes) -> list[str]:
+    """Linear scan straight from the table's text, then normalize."""
+    tokens, i = [], 0
+    while i < len(raw):
+        known = raw[i] in OPERAND_COUNTS
+        tokens.append(f"{raw[i]:02x}" if known else INVALID_TOKEN)
+        i += 1 + OPERAND_COUNTS[raw[i]] if known else 1
+    return normalize(tokens)
 
 
 class TestParseHex:
@@ -65,46 +88,24 @@ class TestParseHex:
 class TestOpcodeTable:
     def test_push_operand_counts(self):
         for k in range(1, 33):
-            assert TABLE.operand_count(0x60 + k - 1) == k
-
-    def test_mnemonics(self):
-        assert TABLE.mnemonic(0x00) == "STOP"
-        assert TABLE.mnemonic(0xFF) == "SELFDESTRUCT"
-        assert TABLE.mnemonic(0x60) == "PUSH1"
+            assert TABLE.widths[0x60 + k - 1] == 1 + k
 
     def test_unassigned_bytes_absent(self):
-        assert 0x0C not in TABLE
-        assert 0xEF not in TABLE
+        for b in (0x0C, 0xEF):
+            assert TABLE.widths[b] == 0
+            assert b not in TABLE.entries
 
-    def test_load_rejects_duplicate(self):
-        with pytest.raises(ParseError, match="line 2"):
-            load_table(["00 STOP 0", "00 AGAIN 0"])
-
-    def test_load_rejects_bad_field_count(self):
-        with pytest.raises(ParseError):
-            load_table(["00 STOP"])
-
-    def test_load_skips_comments_and_blanks(self):
-        t = load_table(["# comment", "", "00 STOP 0"])
-        assert t.mnemonic(0x00) == "STOP"
-
-    def test_push_operand_mismatch_rejected(self):
-        with pytest.raises(ParseError):
-            OpcodeTable({0x60: ("PUSH1", 3)})
+    def test_entries_are_the_assigned_bytes(self):
+        assert TABLE.entries == set(OPERAND_COUNTS)
+        assert TABLE.entries == {b for b, w in enumerate(TABLE.widths) if w}
 
     def test_default_table_parsed_once(self):
         assert default_table() is default_table()
 
     def test_shared_table_is_read_only(self):
         with pytest.raises(TypeError):
-            default_table().entries[0x0C] = ("NEW", 0)
-        assert 0x0C not in default_table()
-
-    def test_table_copies_its_input(self):
-        source = {0x00: ("STOP", 0)}
-        table = OpcodeTable(source)
-        source[0x01] = ("ADD", 0)
-        assert 0x01 not in table
+            default_table().widths[0x0C] = 1
+        assert default_table().widths[0x0C] == 0
 
 
 class TestDisassemble:
@@ -130,28 +131,16 @@ class TestDisassemble:
         assert disassemble(b"\x60\xff\x01") == ["60", "01"]
 
     def test_all_256_bytes_match_a_freshly_parsed_table(self):
-        text = resources.files("evmguard.data").joinpath("opcodes.txt").read_text()
-        fresh = load_table(text.splitlines())
-
-        def reference(raw):  # linear scan straight from the table's entries
-            tokens, i = [], 0
-            while i < len(raw):
-                entry = fresh.entries.get(raw[i])
-                tokens.append(f"{raw[i]:02x}" if entry else INVALID_TOKEN)
-                i += 1 + (entry[1] if entry else 0)
-            return normalize(tokens)
-
         every_byte = bytes(range(256))
-        assert preprocess(every_byte.hex()) == reference(every_byte)
-        assert preprocess(every_byte.hex(), fresh) == reference(every_byte)
+        assert preprocess(every_byte.hex()) == _reference_preprocess(every_byte)
         for b in range(256):
-            assert preprocess(f"{b:02x}") == reference(bytes([b]))
+            assert preprocess(f"{b:02x}") == _reference_preprocess(bytes([b]))
 
     def test_all_256_bytes_total(self):
         for b in range(256):
             tokens = disassemble(bytes([b]))
             assert len(tokens) == 1
-            if b in TABLE:
+            if TABLE.widths[b]:
                 assert tokens[0] == f"{b:02x}"
             else:
                 assert tokens[0] == INVALID_TOKEN
@@ -259,3 +248,8 @@ def test_push_operand_elision_for_every_width(k, data):
     raw = bytes([0x60 + k - 1]) + operands
     assert disassemble(raw) == [f"{0x60 + k - 1:02x}"]
     assert normalize(disassemble(raw)) == ["60"]
+
+
+@given(st.binary(max_size=600))
+def test_preprocess_matches_a_linear_scan_of_the_table_text(raw):
+    assert preprocess(raw.hex()) == _reference_preprocess(raw)

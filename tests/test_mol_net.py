@@ -1,5 +1,6 @@
 """Model structure, forward semantics, Adam, freezing, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evmguard.errors import ConfigError, LoadError, MalformedInputError, UsageError
+from evmguard.tokenizer import encode, fit
 from evmguard.mol_net import (
     REFERENCE_STEM,
     AdamState,
@@ -351,6 +353,89 @@ class TestSerialization:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(LoadError, match="trailing"):
             load_model(path)
+
+
+def rewrite_header(path, edit):
+    """Apply `edit` to the JSON header of the container at `path`, in place."""
+    blob = path.read_bytes()
+    n = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16 : 16 + n])
+    edit(header)
+    payload = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + len(payload).to_bytes(8, "little") + payload + blob[16 + n :])
+
+
+class TestMalformedHeader:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h["stem"].update(extra=1),
+            lambda h: h["blocks"][0].update(name="embed"),
+            lambda h: h.pop("frozen"),
+            lambda h: h.update(blocks=5),
+            lambda h: h.update(blocks=h["blocks"][::-1]),
+            lambda h: h["blocks"][1].update(shape=[6, 4]),
+            lambda h: h["stem"].update(max_sequence_length=12.0),
+            lambda h: h["stem"].update(vocab_size=11),
+            lambda h: h["stem"].update(dropout_rate=1.5),
+            lambda h: h["branches"][0].update(dense_widths=[5, 2]),
+            lambda h: h["branches"].append(h["branches"][0]),
+            lambda h: h.update(frozen=["gru/wz", "gru/nope"]),
+            lambda h: h.update(frozen="embedding"),
+            lambda h: h.update(vocab_fingerprint=7),
+            lambda h: h.update(stem=[]),
+            lambda h: h.update(branches=[["class_name", "dense_widths"]]),
+        ],
+        ids=[
+            "unknown_stem_key", "renamed_block", "missing_frozen", "blocks_not_a_list",
+            "blocks_reordered", "block_shape", "float_length", "vocab_size_vs_blocks",
+            "dropout_out_of_range", "branch_without_single_head", "duplicate_branch",
+            "frozen_unknown_block", "frozen_not_a_list", "fingerprint_not_a_string",
+            "stem_not_an_object", "branch_not_an_object",
+        ],
+    )
+    def test_rejected_with_load_error(self, tmp_path, edit):
+        path = tmp_path / "model.bin"
+        save_model(small_model(), path)
+        rewrite_header(path, edit)
+        with pytest.raises(LoadError):
+            load_model(path)
+
+    def test_unedited_rewrite_still_loads(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(small_model(), path)
+        rewrite_header(path, lambda h: None)
+        np.testing.assert_array_equal(
+            forward(load_model(path), ids_batch()), forward(small_model(), ids_batch())
+        )
+
+
+TINY_STEM = StemConfig(
+    vocab_size=4, embedding_dim=2, gru_hidden=2, dropout_rate=0.2, max_sequence_length=5
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_any_byte_mutation_loads_a_working_model_or_raises_load_error(tmp_path_factory, data):
+    model = init_model(TINY_STEM, [BranchConfig("a", (2, 1))], seed=0)
+    model.vocab_fingerprint = "sha256:0f"
+    model.set_stem_frozen(True)
+    path = tmp_path_factory.mktemp("mutant") / "model.bin"
+    save_model(model, path)
+    blob = bytearray(path.read_bytes())
+    header_end = 16 + int.from_bytes(blob[8:16], "little")
+    pos = data.draw(st.one_of(st.integers(0, header_end - 1), st.integers(0, len(blob) - 1)))
+    blob[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]))
+    path.write_bytes(bytes(blob))
+    try:
+        loaded = load_model(path)
+    except LoadError:
+        return
+    ids = encode(["a", "b"], fit([["a", "b"]]), loaded.stem.max_sequence_length).ids
+    probs = forward(loaded, ids[None] % loaded.stem.vocab_size)
+    assert probs.shape == (1, len(loaded.branches))
+    assert loaded.frozen <= set(loaded.params)
 
 
 @settings(max_examples=30, deadline=None)

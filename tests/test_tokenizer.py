@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from evmguard.errors import ParseError
+from evmguard.errors import EvmGuardError, ParseError
 from evmguard.tokenizer import (
     OOV_ID,
     PAD_ID,
@@ -111,6 +111,12 @@ class TestPersistence:
         with pytest.raises(ParseError, match="line 3"):
             load_vocab(path)
 
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_bytes(b"<PAD>\t0\n<OOV>\t1\n\xff\t2\n")
+        with pytest.raises(ParseError, match="line 3: not UTF-8 text"):
+            load_vocab(path)
+
     def test_missing_reserved_rejected(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_text("aa\t0\nbb\t1\n")
@@ -137,3 +143,18 @@ def test_encode_always_fixed_length_and_in_range(tokens, max_len):
     assert seq.ids.max(initial=0) < len(v)
     # everything past true_length is padding
     assert not seq.ids[seq.true_length :].any()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=120),
+    st.lists(st.sampled_from([b"<PAD>\t0", b"<OOV>\t1", b"aa\t2", b"\t", b"x\t-1", b""]),
+             max_size=6).map(b"\n".join),
+))
+def test_load_vocab_returns_or_raises_package_errors(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "vocab.tsv"
+    path.write_bytes(raw)
+    try:
+        load_vocab(path)
+    except EvmGuardError:
+        pass
