@@ -218,6 +218,7 @@ def _train_config(args) -> trainer.TrainConfig:
 
 
 def _cmd_train(args) -> int:
+    config = _train_config(args)
     chunks, catalog = _read_chunks_dir(args.chunks_dir)
     vocab = tokenizer.fit(
         list(r.tokens) for c in chunks for r in c.records
@@ -236,7 +237,7 @@ def _cmd_train(args) -> int:
     if args.val:
         val_chunk = corpus.read_chunk(args.val, catalog)
         validation = trainer.encode_records(val_chunk.records, vocab, args.max_seq_len)
-    history = trainer.train(model, chunks, vocab, _train_config(args), validation)
+    history = trainer.train(model, chunks, vocab, config, validation)
     mol_net.save_model(model, args.out_model)
     tokenizer.save_vocab(vocab, args.out_vocab)
     if args.history:
@@ -250,6 +251,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
+    config = _train_config(args)
     model, vocab = _load_model_and_vocab(args.model, args.vocab)
     chunks, new_catalog = _read_chunks_dir(args.chunks_dir)
     configs = [mol_net.BranchConfig(n) for n in new_catalog.names]
@@ -260,7 +262,7 @@ def _cmd_transfer(args) -> int:
             val_chunk.records, vocab, model.stem.max_sequence_length
         )
     history = trainer.transfer_train(
-        model, chunks, configs, vocab, _train_config(args), validation
+        model, chunks, configs, vocab, config, validation
     )
     mol_net.save_model(model, args.out_model)
     if args.history:

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CoverageError, ParseError, ShortageError, not_utf8
+from .errors import (
+    ConfigError,
+    CoverageError,
+    MalformedInputError,
+    ParseError,
+    ShortageError,
+    not_utf8,
+)
 from .evm_bytecode import parse_rendered, render
 
 DEFAULT_CLASS_NAMES = (
@@ -28,6 +35,14 @@ DEFAULT_CLASS_NAMES = (
 )
 
 DEFAULT_CHUNK_SIZE = 1024
+
+# Characters in a chunk CSV's bytecode field: the rendering of the largest
+# code the EVM accepts (EIP-3860 initcode, 49,152 bytes, so at most 49,152
+# two-character tokens and their separators). Readers accept fields this
+# long, above csv's default limit of 131,072; write_chunk refuses longer.
+# csv's limit is process-wide, so it is raised once, here, and never lowered.
+MAX_FIELD_CHARS = 3 * 49_152
+csv.field_size_limit(max(csv.field_size_limit(), MAX_FIELD_CHARS))
 
 
 @dataclass(frozen=True)
@@ -201,6 +216,15 @@ def chunk(
 
 
 def write_chunk(chk: Chunk, path, catalog: ClassCatalog) -> None:
+    """Write one chunk CSV; MalformedInputError, before writing, if a field would exceed MAX_FIELD_CHARS."""
+    for rec in chk.records:
+        rendered = sum(map(len, rec.tokens)) + len(rec.tokens) - 1  # render()'s length
+        longest = max(len(rec.address), rendered)
+        if longest > MAX_FIELD_CHARS:
+            raise MalformedInputError(
+                f"record {rec.address[:42]!r}: a field of {longest} characters is longer "
+                f"than a chunk CSV holds ({MAX_FIELD_CHARS}, the largest code the EVM accepts)"
+            )
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["address", "bytecode", *catalog.names])

@@ -23,10 +23,13 @@ sigmoid(x) is computed as 0.5 * (1 + tanh(x / 2)) everywhere.
 
 The blocks are stored per gate, but the scan runs on fused operands built
 once per call: the (vocab, 3h) table embedding [W_z|W_r|W_c] + [b_z|b_r|b_c],
-kept as its z|r and c column blocks, so a step's input projection is two
-row gathers, and the recurrent kernel [U_z|U_r], so a step makes two
-matmuls, h [U_z|U_r] and (r * h) U_c. `forward` and `Scanner` (the serving
-scan that rows join and leave between steps) share one step and one
+kept as its z|r and c column blocks, and the recurrent kernel [U_z|U_r], so
+a step makes two matmuls, h [U_z|U_r] and (r * h) U_c. A step's input
+projection is its rows' entries of the two tables; the scan gathers them
+for a block of steps at once, one gather per table, and a step writes its
+gates, candidate and new state into buffers the caller reuses, so it
+neither gathers nor allocates. `forward` and `Scanner` (the serving scan
+that rows join and leave between steps) share one step and one
 branch-head function, so the cell equations live in one place. The
 backward pass runs only the recurrent matmuls dh needs inside its time
 loop and stacks the gate deltas; every W, b and U gradient comes from
@@ -58,6 +61,10 @@ _GATES = ("z", "r", "c")
 
 _HALF = np.float32(0.5)
 _ONE = np.float32(1.0)
+
+# (row, step) pairs whose input projections a scan gathers at once: under
+# 1 MB of float32 rows at hidden 64, whatever the batch size.
+_BLOCK_ROW_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -287,28 +294,45 @@ def _check_ids(model: MolModel, ids, ndim: int) -> np.ndarray:
     return ids
 
 
-def _gru_step(ids_t: np.ndarray, h_t: np.ndarray, scan) -> tuple:
-    """One GRU step for every row: (h_new, zr, c) from each row's token id.
+def _step_buffers(rows: int, scan) -> tuple:
+    """Buffers for _gru_step on `rows` rows, with the views it works through.
 
-    `scan` is the operand tuple from _fused_kernels (z|r parts halved, all
-    padded to _blas_width; the products are sliced back to 2h and h
-    columns). Every operation works row by row, so a row's result does not
-    depend on the other rows.
+    (zr at the padded width, its first 2h columns, their z and r halves,
+    r * h, c at the padded width, its first h columns); the padded arrays
+    are what the matmuls write, as in x @ w[:, :n] sliced back.
     """
-    x_zr_half, x_c, u_zr_half, u_c = scan
-    h = h_t.shape[1]
-    zr = h_t @ u_zr_half
-    zr += x_zr_half[ids_t]
-    zr = zr[:, : 2 * h]
+    x_zr_half, x_c, _, u_c = scan
+    h = u_c.shape[0]
+    zr_wide = np.empty((rows, x_zr_half.shape[1]), dtype=u_c.dtype)
+    c_wide = np.empty((rows, x_c.shape[1]), dtype=u_c.dtype)
+    zr = zr_wide[:, : 2 * h]
+    rh = np.empty((rows, h), dtype=u_c.dtype)
+    return zr_wide, zr, zr[:, :h], zr[:, h:], rh, c_wide, c_wide[:, :h]
+
+
+def _gru_step(x_zr: np.ndarray, x_c: np.ndarray, h_t: np.ndarray, scan, bufs, h_new) -> tuple:
+    """One GRU step for every row, written into `bufs` and `h_new`; returns (h_new, zr, c).
+
+    `x_zr` and `x_c` are the rows' entries of the z|r and c input tables of
+    `scan`, the operand tuple from _fused_kernels (z|r parts halved, all
+    padded to _blas_width; the products are read back at 2h and h
+    columns); `bufs` is from _step_buffers. Nothing is gathered or
+    allocated. Every operation works row by row, so a row's result does
+    not depend on the other rows.
+    """
+    _, _, u_zr_half, u_c = scan
+    zr_wide, zr, z, r, rh, c_wide, c = bufs
+    np.dot(h_t, u_zr_half, out=zr_wide)
+    zr_wide += x_zr
     np.tanh(zr, out=zr)
     zr += _ONE
     zr *= _HALF
-    c = (zr[:, h:] * h_t) @ u_c
-    c += x_c[ids_t]
-    c = c[:, :h]
+    np.multiply(r, h_t, out=rh)
+    np.dot(rh, u_c, out=c_wide)
+    c_wide += x_c
     np.tanh(c, out=c)
-    h_new = h_t - c  # z * h + (1 - z) * c as c + z * (h - c), one op fewer
-    h_new *= zr[:, :h]
+    np.subtract(h_t, c, out=h_new)  # z * h + (1 - z) * c as c + z * (h - c), one op fewer
+    h_new *= z
     h_new += c
     return h_new, zr, c
 
@@ -397,17 +421,25 @@ def forward(
     t_dense = int(gaps[0]) if gaps.size else t_used
 
     _, _, scan = _fused_kernels(p)
-    h_t = np.zeros((batch, h), dtype=dtype)
+    bufs = _step_buffers(batch, scan)
+    idle = ~live
+    h_t, h_new = np.zeros((batch, h), dtype=dtype), np.empty((batch, h), dtype=dtype)
     if keep_cache:
         h_states = np.empty((t_used + 1, batch, h), dtype=dtype)
         h_states[0] = h_t
         zr_states = np.empty((t_used, batch, 2 * h), dtype=dtype)
         c_states = np.empty((t_used, batch, h), dtype=dtype)
-    for t in range(t_used):
-        h_new, zr, c = _gru_step(steps[t], h_t, scan)
-        h_t = h_new if t < t_dense else np.where(live[t], h_new, h_t)
-        if keep_cache:
-            h_states[t + 1], zr_states[t], c_states[t] = h_t, zr, c
+    block = max(1, _BLOCK_ROW_STEPS // max(batch, 1))
+    for start in range(0, t_used, block):
+        ids_block = steps[start : start + block]
+        rows = zip(scan[0][ids_block], scan[1][ids_block])
+        for t, (x_zr, x_c) in enumerate(rows, start):
+            _, zr, c = _gru_step(x_zr, x_c, h_t, scan, bufs, h_new)
+            if t >= t_dense:
+                np.copyto(h_new, h_t, where=idle[t])
+            h_t, h_new = h_new, h_t
+            if keep_cache:
+                h_states[t + 1], zr_states[t], c_states[t] = h_t, zr, c
 
     drop = None
     h_final = h_t
@@ -447,10 +479,16 @@ class Scanner:
     products run at _blas_width, and every other operation works row by row.
 
     Row ids sit in a (max_sequence_length, slots) ring indexed by the global
-    step, so a step reads one contiguous ring row. Rows outside their own
-    window (slot 0, free slots) read stale ids and compute states nobody
-    reads; only steps where some row holds an interior id 0 blend by the
-    padding mask. Not thread-safe: one thread at a time may call it.
+    step. The scan gathers the ids and input-projection rows of a block of
+    steps at once, into two arrays it keeps (at most _BLOCK_ROW_STEPS
+    row-steps, and no further than the last busy row's end), and gathers a
+    new block when that one is used up or the rows change: an admit can
+    write ring entries the block has already read. Each step writes into
+    buffers sized to the rows in flight and swaps its new state with the
+    previous one, so a step allocates nothing. Rows outside their own window (slot 0, free slots) read stale
+    ids and compute states nobody reads; only steps where some row holds an
+    interior id 0 blend by the padding mask. Not thread-safe: one thread at
+    a time may call it.
     """
 
     def __init__(self, model: MolModel):
@@ -463,6 +501,11 @@ class Scanner:
         self._step = 0
         self._next_end: int | None = None  # earliest end among busy slots
         self._masked: set[int] = set()  # steps where some row holds id 0
+        # (ids, z|r rows, c rows) of the steps from _block_start, or None
+        self._block: tuple | None = None
+        self._block_start = 0
+        self._spare = self._bufs = None  # the step's outputs, sized to _h by _gather
+        self._gathered: tuple | None = None  # z|r and c rows of the blocks, reused
 
     def admit(self, ids: np.ndarray) -> int:
         """Queue a row for the next step; returns its slot."""
@@ -481,6 +524,7 @@ class Scanner:
         window[:n] = ids[:n]
         self._ring[(self._step + np.arange(window.size)) % span, slot] = window
         self._masked.update((self._step + np.flatnonzero(window == 0)).tolist())
+        self._block = None
         end = self._step + n
         self._ends[slot] = end
         self._next_end = end if self._next_end is None else min(self._next_end, end)
@@ -495,16 +539,19 @@ class Scanner:
     def check_batch_invariance(self) -> None:
         """Raise ConfigError if a row of this scan's products depends on the row count.
 
-        Runs one step and the branch heads on 3 rows and on their first 2
-        and compares those rows' bytes: gates, new state, every head
-        pre-activation and the probabilities. The bit-identity above rests
-        on this property of the BLAS build, which is measured, not given.
+        Runs one step, as `advance` does, and the branch heads on 3 rows and
+        on their first 2 and compares those rows' bytes: gates, new state,
+        every head pre-activation and the probabilities. The bit-identity
+        above rests on this property of the BLAS build, which is measured,
+        not given.
         """
         rows = np.linspace(-1.0, 1.0, 3 * self._h.shape[1], dtype=self._h.dtype).reshape(3, -1)
         ids = np.arange(1, 4) % self.model.stem.vocab_size
 
         def outputs(n: int) -> list[np.ndarray]:
-            step = _gru_step(ids[:n], rows[:n], self._scan)
+            x_zr, x_c = self._scan[0][ids[:n]], self._scan[1][ids[:n]]
+            bufs, h_new = _step_buffers(n, self._scan), np.empty_like(rows[:n])
+            step = _gru_step(x_zr, x_c, rows[:n], self._scan, bufs, h_new)
             probs, _, pre = _branch_heads(rows[:n], self._heads)
             return [*step, probs, *(s for branch in pre for s in branch)]
 
@@ -514,16 +561,42 @@ class Scanner:
                 "for 2 and 3 rows, so a served row would depend on what else is in flight"
             )
 
+    def _gather(self) -> None:
+        """Gather the next block's ids and input-projection rows for the rows in flight."""
+        rows = self._h.shape[0]
+        last = max(end for end in self._ends if end is not None)
+        n = max(1, min(_BLOCK_ROW_STEPS // rows, last - self._step))
+        steps = np.arange(self._step, self._step + n)
+        ids = self._ring.take(steps, axis=0, mode="wrap")[:, :rows]
+        if self._spare is None or self._spare.shape[0] != rows:
+            self._spare = np.empty_like(self._h)
+            self._bufs = _step_buffers(rows, self._scan)
+        if self._gathered is None or len(self._gathered[0]) < n * rows:
+            size = max(_BLOCK_ROW_STEPS, n * rows)
+            self._gathered = tuple(np.empty((size, t.shape[1]), t.dtype) for t in self._scan[:2])
+        # gathered into the same two arrays every time: blocks allocated per
+        # gather would each take fresh pages in the stepping thread's arena
+        x_zr, x_c = (buf[: n * rows].reshape(n, rows, -1) for buf in self._gathered)
+        np.take(self._scan[0], ids, axis=0, out=x_zr, mode="clip")  # ids are checked at admit
+        np.take(self._scan[1], ids, axis=0, out=x_c, mode="clip")
+        self._block = (ids, x_zr, x_c)
+        self._block_start = self._step
+
     def advance(self) -> list[tuple[int, np.ndarray]]:
         """One step for every admitted row; returns the rows it finished."""
         if self._next_end is None:
             return []
-        row = self._ring[self._step % self._ring.shape[0], : self._h.shape[0]]
-        h_new, _, _ = _gru_step(row, self._h, self._scan)
+        k = self._step - self._block_start
+        if self._block is None or k == len(self._block[0]):
+            self._gather()
+            k = 0
+        ids, x_zr, x_c = self._block
+        h_new = self._spare
+        _gru_step(x_zr[k], x_c[k], self._h, self._scan, self._bufs, h_new)
         if self._step in self._masked:
             self._masked.discard(self._step)
-            h_new = np.where((row != 0)[:, None], h_new, self._h)
-        self._h = h_new
+            np.copyto(h_new, self._h, where=(ids[k] == 0)[:, None])
+        self._h, self._spare = h_new, self._h
         self._step += 1
         if self._step < self._next_end:
             return []
@@ -532,7 +605,10 @@ class Scanner:
         for slot in done:
             self._ends[slot] = None
         busy = [slot for slot, end in enumerate(self._ends) if end is not None]
-        self._h = self._h[: busy[-1] + 1 if busy else 1]
+        rows = busy[-1] + 1 if busy else 1
+        if rows < self._h.shape[0]:
+            self._h = self._h[:rows]
+            self._block = None
         self._next_end = min(self._ends[slot] for slot in busy) if busy else None
         return list(zip(done, probs[1:]))
 

@@ -9,6 +9,7 @@ the same inputs produce bit-identical parameter trajectories.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -38,8 +39,8 @@ class TrainConfig:
             raise ConfigError("epoch and batch counts must be >= 1")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must be strictly between 0 and 1")
-        if self.learning_rate <= 0.0:
-            raise ConfigError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigError("learning_rate must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evmguard import mol_net
 from evmguard.errors import MalformedInputError
 from evmguard.mol_net import (
     BranchConfig,
@@ -13,6 +14,7 @@ from evmguard.mol_net import (
     _fused_kernels,
     _gru_step,
     _stacked_heads,
+    _step_buffers,
     forward,
     init_model,
 )
@@ -68,9 +70,15 @@ def test_gru_step_rows_do_not_depend_on_the_row_count(hidden):
     rng = np.random.default_rng(2)
     ids = rng.integers(0, 12, 12)
     h_t = rng.uniform(-1, 1, (12, hidden)).astype(np.float32)
-    full = _gru_step(ids, h_t, scan)
+    full = _gru_step(
+        scan[0][ids], scan[1][ids], h_t, scan, _step_buffers(12, scan), np.empty_like(h_t)
+    )
     for m in range(2, 12):
-        for whole, rows in zip(full, _gru_step(ids[:m], h_t[:m], scan)):
+        part = _gru_step(
+            scan[0][ids[:m]], scan[1][ids[:m]], h_t[:m], scan,
+            _step_buffers(m, scan), np.empty_like(h_t[:m]),
+        )
+        for whole, rows in zip(full, part):
             assert rows.tobytes() == whole[:m].tobytes()
 
 
@@ -116,6 +124,85 @@ def test_scanner_rows_match_solo_forward_whatever_joins_and_leaves():
     assert finished_at["empty"] == 0
     for name, row in rows.items():
         assert results[name].tobytes() == solo(model, row).tobytes(), name
+
+
+def test_scanner_rows_match_solo_forward_across_block_edges():
+    # A block of steps is at most _BLOCK_ROW_STEPS // rows steps long, so a
+    # span longer than that puts block edges inside rows; admissions land
+    # on the last step of a block, on the first step of the next one and in
+    # the middle of one in use, and the ring wraps inside a block.
+    span = 700
+    stem = StemConfig(vocab_size=12, embedding_dim=4, gru_hidden=8, max_sequence_length=span)
+    model = init_model(stem, [BranchConfig("one_layer", (1,)), BranchConfig("two_layer", (6, 1))], seed=4)
+    # an update gate near 1 keeps most of the state at every step, so a
+    # wrong step hundreds of steps before a row's end still shows in its bits
+    model.params["gru/bz"][:] = 4.0
+    rng = np.random.default_rng(3)
+
+    def row(n, zeros_at=()):
+        ids = np.zeros(span, dtype=np.int32)
+        ids[:n] = rng.integers(1, 12, n)
+        ids[list(zeros_at)] = 0
+        return ids
+
+    scanner = Scanner(model)
+    rows, names, results = {}, {}, {}
+
+    def admit(name, ids):
+        rows[name] = ids
+        slot = scanner.admit(ids)
+        names[slot] = name
+        return slot
+
+    def position():
+        """(steps of the current block already run, its length)."""
+        return scanner._step - scanner._block_start, len(scanner._block[0])
+
+    def advance_until(reached):
+        while scanner._block is None or not reached(*position()):
+            for slot, probs in scanner.advance():
+                results[names[slot]] = probs
+
+    admit("a", row(span))  # slots 0 and 1: blocks of 512 steps
+    advance_until(lambda k, n: k == n - 1)
+    assert scanner._step == 511
+    # on the block's last step: slot 2 is new and the ring grows; the next
+    # block (3 rows, 341 steps from ring row 511) runs across the ring's
+    # wrap at 700, and b's interior zeros sit on its last step and the
+    # next block's first
+    assert admit("b", row(600, zeros_at=(340, 341))) == 2
+    advance_until(lambda k, n: k == n)
+    assert scanner._step == 852 and "a" in results
+    assert admit("c", row(100)) == 1  # first step of the next block, a's freed slot
+    advance_until(lambda k, n: k == 50)
+    assert admit("d", row(200, zeros_at=(0, 5))) == 3  # mid-block: the rows grow to 4
+    advance_until(lambda k, n: k == 100)
+    # mid-block into c's freed slot: the block has read its old ids
+    assert "c" in results and admit("e", row(150)) == 1
+    while scanner._next_end is not None:
+        for slot, probs in scanner.advance():
+            results[names[slot]] = probs
+    assert set(results) == set(rows)
+    for name, ids in rows.items():
+        assert results[name].tobytes() == solo(model, ids).tobytes(), name
+
+
+def test_scanner_with_more_rows_than_a_block_holds(monkeypatch):
+    # more rows in flight than the block's row-step budget: blocks of one step
+    monkeypatch.setattr(mol_net, "_BLOCK_ROW_STEPS", 4)
+    model = make_model()
+    rng = np.random.default_rng(5)
+    rows = [padded(rng.integers(0, 12, k)) for k in (3, 9, 1, 17, 24, 6, 2)]
+    scanner = Scanner(model)
+    names, results = {}, {}
+    for k, row in enumerate(rows):
+        names[scanner.admit(row)] = k
+        if k == 2:  # the one-token row leaves and its slot is taken again
+            results.update((names[slot], probs) for slot, probs in scanner.advance())
+    while scanner._next_end is not None:
+        results.update((names[slot], probs) for slot, probs in scanner.advance())
+    for k, row in enumerate(rows):
+        assert results[k].tobytes() == solo(model, row).tobytes(), k
 
 
 def test_scanner_reuses_slots_and_grows():

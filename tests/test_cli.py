@@ -277,6 +277,18 @@ class TestErrors:
         assert rc == 1
         assert "no chunk_" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "transfer"])
+    def test_nan_learning_rate_exits_1(self, trained, capsys, command):
+        argv = [command, "--chunks-dir", trained["chunks_dir"], "--lr", "nan",
+                "--out-model", trained["tmp"] / "nan.bin"]
+        if command == "train":
+            argv += ["--out-vocab", trained["tmp"] / "nan.tsv"]
+        else:
+            argv += ["--model", trained["model"], "--vocab", trained["vocab"]]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: learning_rate must be finite and positive\n"
+        assert not (trained["tmp"] / "nan.bin").exists()
+
     def test_non_utf8_inputs_exit_1_with_error_line(self, trained, capsys):
         bad = trained["tmp"] / "bad.csv"
         bad.write_bytes(b"address,bytecode\n0x\xff,6001\n")

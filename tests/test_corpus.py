@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from evmguard import cli
 from evmguard.corpus import (
+    MAX_FIELD_CHARS,
     Chunk,
     ClassCatalog,
     ContractRecord,
@@ -35,6 +36,7 @@ from evmguard.errors import (
     ConfigError,
     CoverageError,
     EvmGuardError,
+    MalformedInputError,
     ParseError,
     ShortageError,
 )
@@ -228,6 +230,23 @@ class TestChunkCsv:
         path = tmp_path / "chunk.csv"
         write_chunk(c, path, CAT2)
         assert read_chunk(path, CAT2) == c
+
+    def test_largest_evm_code_round_trips(self, tmp_path):
+        # EIP-3860 initcode of 49,152 one-byte opcodes: 147,455 characters,
+        # above csv's default field limit of 131,072
+        tokens = ("60", "xx", "5b") * (49_152 // 3)
+        c = Chunk(index=0, records=(rec("0xaa", tokens=tokens, labels=(True, False)),))
+        path = tmp_path / "chunk.csv"
+        write_chunk(c, path, CAT2)
+        assert read_chunk(path, CAT2) == c
+
+    def test_longer_field_is_refused_before_writing(self, tmp_path):
+        path = tmp_path / "chunk.csv"
+        too_long = rec("0xbb", tokens=("60",) * (MAX_FIELD_CHARS // 3 + 1))
+        assert len(" ".join(too_long.tokens)) == MAX_FIELD_CHARS + 2
+        with pytest.raises(MalformedInputError, match="longer than a chunk CSV holds"):
+            write_chunk(Chunk(0, (rec("0xaa"), too_long)), path, CAT2)
+        assert not path.exists()
 
     def test_header_names_classes(self, tmp_path):
         path = tmp_path / "chunk.csv"

@@ -13,6 +13,7 @@ from evmguard.mol_net import (
     REFERENCE_STEM,
     AdamState,
     BranchConfig,
+    ForwardCache,
     MolModel,
     StemConfig,
     adam_step,
@@ -20,12 +21,16 @@ from evmguard.mol_net import (
     backward,
     bce_loss,
     branch_param_count,
+    dropout_mask,
     forward,
     init_model,
     load_model,
     param_count,
     save_model,
     stem_param_count,
+    _branch_heads,
+    _fused_kernels,
+    _stacked_heads,
 )
 
 SMALL_STEM = StemConfig(
@@ -467,3 +472,79 @@ def test_zeros_anywhere_match_zeros_removed(tokens, gaps, mode):
     a = forward(model, np.array([row], dtype=np.int32), mode=mode, seed=3)
     b = forward(model, np.array([compact], dtype=np.int32), mode=mode, seed=3)
     np.testing.assert_array_equal(a, b)
+
+
+def per_step_forward(model, ids, mode, seed):
+    """The ForwardCache of the scan as it ran before steps were gathered per block.
+
+    One gather per table and fresh arrays at every step, in the same order
+    of operations as the block scan, which must match it byte for byte.
+    """
+    x_zr_half, x_c, u_zr_half, u_c = _fused_kernels(model.params)[2]
+    h = model.stem.gru_hidden
+    dtype = model.params["embedding"].dtype
+    used = np.flatnonzero((ids != 0).any(axis=0))
+    t_used = int(used[-1]) + 1 if used.size else 0
+    steps = ids[:, :t_used].T.astype(np.intp, order="C")
+    live = (steps != 0)[:, :, None]
+    h_t = np.zeros((ids.shape[0], h), dtype=dtype)
+    h_states = np.empty((t_used + 1, ids.shape[0], h), dtype=dtype)
+    zr_states = np.empty((t_used, ids.shape[0], 2 * h), dtype=dtype)
+    c_states = np.empty((t_used, ids.shape[0], h), dtype=dtype)
+    h_states[0] = h_t
+    for t in range(t_used):
+        zr = h_t @ u_zr_half
+        zr += x_zr_half[steps[t]]
+        zr = zr[:, : 2 * h]
+        np.tanh(zr, out=zr)
+        zr += np.float32(1.0)
+        zr *= np.float32(0.5)
+        c = (zr[:, h:] * h_t) @ u_c
+        c += x_c[steps[t]]
+        c = c[:, :h]
+        np.tanh(c, out=c)
+        h_new = h_t - c
+        h_new *= zr[:, :h]
+        h_new += c
+        h_t = np.where(live[t], h_new, h_t)
+        h_states[t + 1], zr_states[t], c_states[t] = h_t, zr, c
+    drop, h_final = None, h_t
+    if mode == "train" and model.stem.dropout_rate > 0.0:
+        drop = dropout_mask(h_t.shape, model.stem.dropout_rate, seed, dtype)
+        h_final = h_t * drop
+    probs, inputs, pre = _branch_heads(h_final, _stacked_heads(model))
+    return ForwardCache(
+        model, ids, steps, live, h_states, zr_states, c_states, drop, h_final, inputs, pre, probs
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [1, 8, 50])
+@pytest.mark.parametrize("batch", [1, 2, 40, 300, 1100])
+def test_block_scan_is_byte_equal_to_the_per_step_scan(dtype, hidden, batch):
+    # 300 rows make blocks of 3 steps and 1,100 rows blocks of 1
+    stem = StemConfig(vocab_size=10, embedding_dim=3, gru_hidden=hidden, dropout_rate=0.2,
+                      max_sequence_length=60)
+    model = init_model(stem, [BranchConfig("a", (1,)), BranchConfig("b", (5, 1))], seed=hidden,
+                       dtype=dtype)
+    rng = np.random.default_rng(batch)
+    steps = 60 if batch < 300 else 14
+    ids = rng.integers(1, 10, (batch, steps))
+    # every row is dense for its first third, then interior zeros and ragged ends
+    ids[:, steps // 3 :] *= rng.random((batch, steps - steps // 3)) < 0.9
+    ids[np.arange(steps) >= rng.integers(steps // 3, steps + 1, (batch, 1))] = 0
+    labels = rng.integers(0, 2, (batch, 2))
+    # forward runs a lone row in eval mode without a cache as two copies
+    rows = np.repeat(ids, 2, axis=0) if batch == 1 else ids
+    expected = per_step_forward(model, rows, "eval", 0).probs[:batch]
+    assert forward(model, ids).tobytes() == expected.tobytes()
+    for mode in ("eval", "train"):
+        reference = per_step_forward(model, ids, mode, 7)
+        _, cache = forward(model, ids, mode=mode, seed=7, keep_cache=True)
+        for name in ("probs", "h_states", "zr", "c"):
+            assert getattr(cache, name).tobytes() == getattr(reference, name).tobytes(), (mode, name)
+        grads = backward(model, cache, labels)
+        expected_grads = backward(model, reference, labels)
+        assert grads.keys() == expected_grads.keys()
+        for name, grad in expected_grads.items():
+            assert grads[name].tobytes() == grad.tobytes(), (mode, name)

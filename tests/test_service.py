@@ -590,8 +590,8 @@ class TestBatchInvarianceSelfCheck:
     def test_skewed_step_is_rejected(self, monkeypatch):
         step = mol_net._gru_step
 
-        def skewed(ids_t, h_t, scan):
-            h_new, zr, c = step(ids_t, h_t, scan)
+        def skewed(x_zr, x_c, h_t, scan, bufs, h_new):
+            h_new, zr, c = step(x_zr, x_c, h_t, scan, bufs, h_new)
             if len(h_t) == 3:  # one ulp off, only in a product of 3 rows
                 zr = np.nextafter(zr, np.inf)
             return h_new, zr, c

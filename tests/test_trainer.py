@@ -161,6 +161,11 @@ class TestDeterminism:
 
 
 class TestTrainErrors:
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-3])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
     def test_label_arity_mismatch(self):
         model, chunks, vocab = small_setup(n_classes=2)
         bad = make_chunks((8,), n_classes=3)
