@@ -285,6 +285,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    if not 0 <= args.port <= 65535:
+        raise ConfigError(f"port must be in [0, 65535], got {args.port}")
     model, vocab = _load_model_and_vocab(args.model, args.vocab)
     svc = service.PredictionService(model, vocab, raw=args.raw)
     print(f"serving on http://{args.host}:{args.port}", file=sys.stderr)

@@ -442,9 +442,11 @@ def synth_generate(
     pure filler.
     """
     k = len(spec.catalog)
-    for labels, _ in counts:
+    for labels, count in counts:
         if len(labels) != k:
             raise ConfigError(f"label vector {labels!r} must have {k} entries")
+        if count < 0:
+            raise ConfigError(f"record count must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
     records = []
     serial = 0

@@ -31,6 +31,8 @@ gates, candidate and new state into buffers the caller reuses, so it
 neither gathers nor allocates. `forward` and `Scanner` (the serving scan
 that rows join and leave between steps) share one step and one
 branch-head function, so the cell equations live in one place. The
+scanner's whole schedule is each row's remaining ids: its blocks end no
+later than its shortest row, so rows leave only at a block's end. The
 backward pass runs only the recurrent matmuls dh needs inside its time
 loop and stacks the gate deltas; every W, b and U gradient comes from
 whole-sequence matmuls over that stack after the loop, and the embedding
@@ -42,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -164,6 +166,14 @@ def _branch_shapes(config: BranchConfig, fan_in: int) -> dict[str, tuple]:
     return shapes
 
 
+def _stem_shapes(stem: StemConfig) -> dict[str, tuple]:
+    d, h = stem.embedding_dim, stem.gru_hidden
+    shapes = {"embedding": (stem.vocab_size, d)}
+    for g in _GATES:
+        shapes.update({f"gru/w{g}": (d, h), f"gru/u{g}": (h, h), f"gru/b{g}": (h,)})
+    return shapes
+
+
 def _block_shapes(stem: StemConfig, branches: list[BranchConfig]) -> dict[str, tuple]:
     """Every parameter block's shape, in init_model's draw order."""
     names = {b.class_name for b in branches}
@@ -171,12 +181,9 @@ def _block_shapes(stem: StemConfig, branches: list[BranchConfig]) -> dict[str, t
         raise ConfigError("branch class names must be unique")
     if not branches:
         raise ConfigError("need at least one branch")
-    d, h = stem.embedding_dim, stem.gru_hidden
-    shapes = {"embedding": (stem.vocab_size, d)}
-    for g in _GATES:
-        shapes.update({f"gru/w{g}": (d, h), f"gru/u{g}": (h, h), f"gru/b{g}": (h,)})
+    shapes = _stem_shapes(stem)
     for b in branches:
-        shapes.update(_branch_shapes(b, h))
+        shapes.update(_branch_shapes(b, stem.gru_hidden))
     return shapes
 
 
@@ -411,14 +418,13 @@ def forward(
     dtype = p["embedding"].dtype
     h = model.stem.gru_hidden
 
-    # Scan up to the last nonzero id. Steps before t_dense update every
-    # row, so only the steps from the first padding id on blend by the mask.
+    # Scan up to the last nonzero id; only the steps where some row holds
+    # the padding id blend by the mask.
     used = np.flatnonzero((ids != 0).any(axis=0))
     t_used = int(used[-1]) + 1 if used.size else 0
     steps = ids[:, :t_used].T.astype(np.intp, order="C")
     live = (steps != 0)[:, :, None]
-    gaps = np.flatnonzero(~live.all(axis=(1, 2)))
-    t_dense = int(gaps[0]) if gaps.size else t_used
+    blend = (steps == 0).any(axis=1).tolist()
 
     _, _, scan = _fused_kernels(p)
     bufs = _step_buffers(batch, scan)
@@ -435,7 +441,7 @@ def forward(
         rows = zip(scan[0][ids_block], scan[1][ids_block])
         for t, (x_zr, x_c) in enumerate(rows, start):
             _, zr, c = _gru_step(x_zr, x_c, h_t, scan, bufs, h_new)
-            if t >= t_dense:
+            if blend[t]:
                 np.copyto(h_new, h_t, where=idle[t])
             h_t, h_new = h_new, h_t
             if keep_cache:
@@ -478,17 +484,17 @@ class Scanner:
     slot 0 is never admitted, so BLAS never gets a one-row operand, the
     products run at _blas_width, and every other operation works row by row.
 
-    Row ids sit in a (max_sequence_length, slots) ring indexed by the global
-    step. The scan gathers the ids and input-projection rows of a block of
-    steps at once, into two arrays it keeps (at most _BLOCK_ROW_STEPS
-    row-steps, and no further than the last busy row's end), and gathers a
-    new block when that one is used up or the rows change: an admit can
-    write ring entries the block has already read. Each step writes into
-    buffers sized to the rows in flight and swaps its new state with the
-    previous one, so a step allocates nothing. Rows outside their own window (slot 0, free slots) read stale
-    ids and compute states nobody reads; only steps where some row holds an
-    interior id 0 blend by the padding mask. Not thread-safe: one thread at
-    a time may call it.
+    Each slot holds the ids its row still has to run. The scan gathers the
+    input-projection rows of a block of steps at once, into two arrays it
+    keeps: at most _BLOCK_ROW_STEPS row-steps, and no more steps than the
+    shortest row has left, so a row can only end where a block ends. At a
+    block's end, and at an admit before it, every row drops the ids it has
+    run and the block is discarded. Each step writes into buffers sized to
+    the rows in flight and swaps its new state with the previous one, so a
+    step allocates nothing. Slot 0 and free slots run id 1 and compute
+    states nobody reads; only steps where some row holds an interior id 0
+    blend by the padding mask. Not thread-safe: one thread at a time may
+    call it.
     """
 
     def __init__(self, model: MolModel):
@@ -496,14 +502,10 @@ class Scanner:
         _, _, self._scan = _fused_kernels(model.params)
         self._heads = _stacked_heads(model)
         self._h = np.zeros((1, model.stem.gru_hidden), dtype=self._scan[0].dtype)
-        self._ring = np.zeros((model.stem.max_sequence_length, 2), dtype=np.intp)
-        self._ends: list[int | None] = [None, None]  # per slot, step after its last id
-        self._step = 0
-        self._next_end: int | None = None  # earliest end among busy slots
-        self._masked: set[int] = set()  # steps where some row holds id 0
-        # (ids, z|r rows, c rows) of the steps from _block_start, or None
+        self._rows: list[np.ndarray | None] = [None]  # per row of _h, the ids it has left
+        # (ids, z|r rows, c rows, whether the step blends) per step of the block, or None
         self._block: tuple | None = None
-        self._block_start = 0
+        self._k = 0  # steps of the block run so far
         self._spare = self._bufs = None  # the step's outputs, sized to _h by _gather
         self._gathered: tuple | None = None  # z|r and c rows of the blocks, reused
 
@@ -512,28 +514,18 @@ class Scanner:
         ids = _check_ids(self.model, ids, 1)
         used = np.flatnonzero(ids)
         n = int(used[-1]) + 1 if used.size else 0
-        span = self._ring.shape[0]
+        span = self.model.stem.max_sequence_length
         if n > span:
             raise MalformedInputError(f"{n} ids run past max_sequence_length {span}")
-        if None not in self._ends[1:]:
-            self._ring = np.concatenate([self._ring, np.zeros_like(self._ring)], axis=1)
-            self._ends += [None] * len(self._ends)
-        slot = self._ends.index(None, 1)
+        self._drop_run_steps()
+        slot = next((s for s, row in enumerate(self._rows) if s and row is None), len(self._rows))
+        if slot == len(self._rows):
+            self._rows.append(None)
+            self._h = np.concatenate([self._h, np.zeros_like(self._h[:1])])
         # a row with no ids still takes one step, masked, so its state stays zero
-        window = np.zeros(max(n, 1), dtype=np.intp)
-        window[:n] = ids[:n]
-        self._ring[(self._step + np.arange(window.size)) % span, slot] = window
-        self._masked.update((self._step + np.flatnonzero(window == 0)).tolist())
-        self._block = None
-        end = self._step + n
-        self._ends[slot] = end
-        self._next_end = end if self._next_end is None else min(self._next_end, end)
-        if slot < self._h.shape[0]:
-            self._h[slot] = 0
-        else:
-            grown = np.zeros((slot + 1, self._h.shape[1]), dtype=self._h.dtype)
-            grown[: self._h.shape[0]] = self._h
-            self._h = grown
+        self._rows[slot] = np.zeros(max(n, 1), dtype=np.intp)
+        self._rows[slot][:n] = ids[:n]
+        self._h[slot] = 0
         return slot
 
     def check_batch_invariance(self) -> None:
@@ -561,13 +553,20 @@ class Scanner:
                 "for 2 and 3 rows, so a served row would depend on what else is in flight"
             )
 
+    def _drop_run_steps(self) -> None:
+        """Drop the ids the current block has run from every row and discard the block."""
+        k, self._k, self._block = self._k, 0, None
+        self._rows = [row if row is None else row[k:] for row in self._rows]
+
     def _gather(self) -> None:
         """Gather the next block's ids and input-projection rows for the rows in flight."""
-        rows = self._h.shape[0]
-        last = max(end for end in self._ends if end is not None)
-        n = max(1, min(_BLOCK_ROW_STEPS // rows, last - self._step))
-        steps = np.arange(self._step, self._step + n)
-        ids = self._ring.take(steps, axis=0, mode="wrap")[:, :rows]
+        rows = len(self._rows)
+        left = min(row.size for row in self._rows if row is not None)
+        n = max(1, min(_BLOCK_ROW_STEPS // rows, left))
+        ids = np.ones((n, rows), dtype=np.intp)
+        for slot, row in enumerate(self._rows):
+            if row is not None:
+                ids[:, slot] = row[:n]
         if self._spare is None or self._spare.shape[0] != rows:
             self._spare = np.empty_like(self._h)
             self._bufs = _step_buffers(rows, self._scan)
@@ -579,46 +578,43 @@ class Scanner:
         x_zr, x_c = (buf[: n * rows].reshape(n, rows, -1) for buf in self._gathered)
         np.take(self._scan[0], ids, axis=0, out=x_zr, mode="clip")  # ids are checked at admit
         np.take(self._scan[1], ids, axis=0, out=x_c, mode="clip")
-        self._block = (ids, x_zr, x_c)
-        self._block_start = self._step
+        self._block = (ids, x_zr, x_c, (ids == 0).any(axis=1).tolist())
 
     def advance(self) -> list[tuple[int, np.ndarray]]:
         """One step for every admitted row; returns the rows it finished."""
-        if self._next_end is None:
-            return []
-        k = self._step - self._block_start
-        if self._block is None or k == len(self._block[0]):
+        if self._block is None:
+            if len(self._rows) == 1:  # only slot 0: no row in flight
+                return []
             self._gather()
-            k = 0
-        ids, x_zr, x_c = self._block
+        ids, x_zr, x_c, blend = self._block
+        k = self._k
         h_new = self._spare
         _gru_step(x_zr[k], x_c[k], self._h, self._scan, self._bufs, h_new)
-        if self._step in self._masked:
-            self._masked.discard(self._step)
+        if blend[k]:
             np.copyto(h_new, self._h, where=(ids[k] == 0)[:, None])
         self._h, self._spare = h_new, self._h
-        self._step += 1
-        if self._step < self._next_end:
+        self._k += 1
+        if self._k < len(ids):
             return []
-        done = [k for k, end in enumerate(self._ends) if end is not None and end <= self._step]
+        self._drop_run_steps()
+        done = [slot for slot, row in enumerate(self._rows) if row is not None and not row.size]
+        if not done:
+            return []
         probs, _, _ = _branch_heads(self._h[[0, *done]], self._heads)
         for slot in done:
-            self._ends[slot] = None
-        busy = [slot for slot, end in enumerate(self._ends) if end is not None]
-        rows = busy[-1] + 1 if busy else 1
-        if rows < self._h.shape[0]:
-            self._h = self._h[:rows]
-            self._block = None
-        self._next_end = min(self._ends[slot] for slot in busy) if busy else None
+            self._rows[slot] = None
+        while len(self._rows) > 1 and self._rows[-1] is None:
+            self._rows.pop()
+        self._h = self._h[: len(self._rows)]
         return list(zip(done, probs[1:]))
 
 
-def bce_loss(labels: np.ndarray, probs: np.ndarray, eps: float = PROB_EPS) -> float:
+def bce_loss(labels: np.ndarray, probs: np.ndarray) -> float:
     """Mean of -(y log p + (1-y) log(1-p)) over every (sample, branch) cell."""
     y, p = np.shape(labels), np.shape(probs)
     if y != p:
         raise ConfigError(f"labels shape {y} != probabilities shape {p}")
-    return mean_bce(labels, probs, eps)
+    return mean_bce(labels, probs)
 
 
 def backward(
@@ -769,17 +765,11 @@ def adam_step(
 
 
 def stem_param_count(config: StemConfig) -> int:
-    d, h, v = config.embedding_dim, config.gru_hidden, config.vocab_size
-    return v * d + 3 * (d * h + h * h + h)
+    return sum(math.prod(s) for s in _stem_shapes(config).values())
 
 
 def branch_param_count(config: BranchConfig, input_width: int = DEFAULT_GRU_HIDDEN) -> int:
-    total = 0
-    fan_in = input_width
-    for width in config.dense_widths:
-        total += fan_in * width + width
-        fan_in = width
-    return total
+    return sum(math.prod(s) for s in _branch_shapes(config, input_width).values())
 
 
 def param_count(model: MolModel, scope: str = "all"):
@@ -805,17 +795,8 @@ def save_model(model: MolModel, path) -> None:
     """Versioned container: magic, version, JSON header, raw little-endian blocks."""
     block_names = list(model.params)
     header = {
-        "stem": {
-            "vocab_size": model.stem.vocab_size,
-            "embedding_dim": model.stem.embedding_dim,
-            "gru_hidden": model.stem.gru_hidden,
-            "dropout_rate": model.stem.dropout_rate,
-            "max_sequence_length": model.stem.max_sequence_length,
-        },
-        "branches": [
-            {"class_name": b.class_name, "dense_widths": list(b.dense_widths)}
-            for b in model.branches
-        ],
+        "stem": asdict(model.stem),
+        "branches": [asdict(b) for b in model.branches],
         "frozen": sorted(model.frozen),
         "vocab_fingerprint": model.vocab_fingerprint,
         "blocks": [

@@ -86,7 +86,7 @@ def encode(
 ) -> TokenSequence:
     """Map tokens to ids, truncate at the tail, right-pad with 0."""
     if max_sequence_length < 1:
-        raise ValueError("max_sequence_length must be >= 1")
+        raise ConfigError("max_sequence_length must be >= 1")
     kept = tokens[:max_sequence_length]
     ids = np.zeros(max_sequence_length, dtype=np.int32)
     lookup = vocab.token_to_id.get

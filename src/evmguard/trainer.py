@@ -23,6 +23,7 @@ from .tokenizer import Vocabulary, encode_batch
 
 DEFAULT_BATCH_SIZE = 32
 DEFAULT_LEARNING_RATE = 0.001
+EVAL_BATCH_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -220,7 +221,6 @@ def evaluate(
     data: EncodedSet,
     threshold: float = 0.5,
     branch_subset: list[str] | None = None,
-    eval_batch_size: int = 256,
 ) -> metrics.MetricsReport:
     """Eval-mode forward, binarize at p >= threshold, full metrics report."""
     if len(data) == 0:
@@ -231,18 +231,16 @@ def evaluate(
         raise ConfigError(
             f"labels have {data.labels.shape[1]} columns, expected {len(cols)}"
         )
-    probs = predict_probs(model, data.ids, eval_batch_size)[:, cols]
+    probs = predict_probs(model, data.ids)[:, cols]
     preds = probs >= threshold
     return metrics.evaluate(names, data.labels.astype(bool), preds, probs)
 
 
-def predict_probs(
-    model: MolModel, ids: np.ndarray, eval_batch_size: int = 256
-) -> np.ndarray:
+def predict_probs(model: MolModel, ids: np.ndarray) -> np.ndarray:
     """Batched eval-mode probabilities for an (n, T) id matrix."""
     outs = [
         mol_net.forward(model, ids[lo:hi], mode="eval")
-        for lo, hi in _batches(ids.shape[0], eval_batch_size)
+        for lo, hi in _batches(ids.shape[0], EVAL_BATCH_SIZE)
     ]
     if not outs:
         return np.zeros((0, len(model.branches)), dtype=np.float32)

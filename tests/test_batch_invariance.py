@@ -126,17 +126,57 @@ def test_scanner_rows_match_solo_forward_whatever_joins_and_leaves():
         assert results[name].tobytes() == solo(model, row).tobytes(), name
 
 
-def test_scanner_rows_match_solo_forward_across_block_edges():
-    # A block of steps is at most _BLOCK_ROW_STEPS // rows steps long, so a
-    # span longer than that puts block edges inside rows; admissions land
-    # on the last step of a block, on the first step of the next one and in
-    # the middle of one in use, and the ring wraps inside a block.
-    span = 700
+def memory_model(span):
+    """A hidden-8 model whose update gate keeps most of the state at every step.
+
+    With a default-init model a row's probabilities depend only on its last
+    few dozen ids; with the update-gate bias at 4 a wrong step hundreds of
+    steps before a row's end still shows in its bits.
+    """
     stem = StemConfig(vocab_size=12, embedding_dim=4, gru_hidden=8, max_sequence_length=span)
-    model = init_model(stem, [BranchConfig("one_layer", (1,)), BranchConfig("two_layer", (6, 1))], seed=4)
-    # an update gate near 1 keeps most of the state at every step, so a
-    # wrong step hundreds of steps before a row's end still shows in its bits
+    model = init_model(
+        stem, [BranchConfig("one_layer", (1,)), BranchConfig("two_layer", (6, 1))], seed=4
+    )
     model.params["gru/bz"][:] = 4.0
+    return model
+
+
+def run_schedule(scanner, admits):
+    """Admit each (step, ids) before that step's advance and step until every row is back.
+
+    Returns per row (slot, the step whose advance returned it, probabilities).
+    """
+    out = [None] * len(admits)
+    in_flight = {}
+    horizon = max(at for at, _ in admits) + max(ids.size for _, ids in admits) + 1
+    for step in range(horizon):
+        for i, (at, ids) in enumerate(admits):
+            if at == step:
+                in_flight[scanner.admit(ids)] = i
+        for slot, probs in scanner.advance():
+            out[in_flight.pop(slot)] = (slot, step, probs)
+    assert not in_flight and scanner.advance() == []
+    return out
+
+
+def assert_rows_match_solo(model, admits, out):
+    """Each row comes back on step admitted + max(n, 1) - 1 with its solo `forward` bytes."""
+    for (at, ids), (_, step, probs) in zip(admits, out):
+        used = np.flatnonzero(ids)
+        n = int(used[-1]) + 1 if used.size else 0
+        assert step == at + max(n, 1) - 1, (at, n)
+        assert probs.tobytes() == solo(model, ids).tobytes(), (at, n)
+
+
+def test_scanner_rows_match_solo_forward_across_block_edges(monkeypatch):
+    # A block runs at most _BLOCK_ROW_STEPS // rows steps and no more steps
+    # than the shortest row has left, and an admit ends the block in use.
+    # Admits land on a block's last step (b), on the next block's first
+    # step (c) and in the middle of blocks (d, e); b's interior zeros sit
+    # on both sides of two block edges and d's on a block's first step.
+    # The steps where blocks start are checked so the cases stay put.
+    span = 700
+    model = memory_model(span)
     rng = np.random.default_rng(3)
 
     def row(n, zeros_at=()):
@@ -145,46 +185,31 @@ def test_scanner_rows_match_solo_forward_across_block_edges():
         ids[list(zeros_at)] = 0
         return ids
 
-    scanner = Scanner(model)
-    rows, names, results = {}, {}, {}
+    advances, gathered_at = 0, []
+    advance, gather = Scanner.advance, Scanner._gather
 
-    def admit(name, ids):
-        rows[name] = ids
-        slot = scanner.admit(ids)
-        names[slot] = name
-        return slot
+    def counted_advance(scanner):
+        nonlocal advances
+        advances += 1
+        return advance(scanner)
 
-    def position():
-        """(steps of the current block already run, its length)."""
-        return scanner._step - scanner._block_start, len(scanner._block[0])
+    def recorded_gather(scanner):
+        gathered_at.append(advances - 1)
+        gather(scanner)
 
-    def advance_until(reached):
-        while scanner._block is None or not reached(*position()):
-            for slot, probs in scanner.advance():
-                results[names[slot]] = probs
-
-    admit("a", row(span))  # slots 0 and 1: blocks of 512 steps
-    advance_until(lambda k, n: k == n - 1)
-    assert scanner._step == 511
-    # on the block's last step: slot 2 is new and the ring grows; the next
-    # block (3 rows, 341 steps from ring row 511) runs across the ring's
-    # wrap at 700, and b's interior zeros sit on its last step and the
-    # next block's first
-    assert admit("b", row(600, zeros_at=(340, 341))) == 2
-    advance_until(lambda k, n: k == n)
-    assert scanner._step == 852 and "a" in results
-    assert admit("c", row(100)) == 1  # first step of the next block, a's freed slot
-    advance_until(lambda k, n: k == 50)
-    assert admit("d", row(200, zeros_at=(0, 5))) == 3  # mid-block: the rows grow to 4
-    advance_until(lambda k, n: k == 100)
-    # mid-block into c's freed slot: the block has read its old ids
-    assert "c" in results and admit("e", row(150)) == 1
-    while scanner._next_end is not None:
-        for slot, probs in scanner.advance():
-            results[names[slot]] = probs
-    assert set(results) == set(rows)
-    for name, ids in rows.items():
-        assert results[name].tobytes() == solo(model, ids).tobytes(), name
+    monkeypatch.setattr(Scanner, "advance", counted_advance)
+    monkeypatch.setattr(Scanner, "_gather", recorded_gather)
+    admits = [
+        (0, row(700)),  # a: slots 0 and 1, blocks of 512 steps
+        (511, row(600, zeros_at=(188, 189, 338, 339))),  # b: slot 2, the rows grow to 3
+        (700, row(100)),  # c: a's freed slot, as a ends
+        (750, row(200, zeros_at=(0, 5))),  # d: slot 3, the rows grow to 4
+        (850, row(150)),  # e: c's freed slot
+    ]
+    out = run_schedule(Scanner(model), admits)
+    assert gathered_at == [0, 511, 700, 750, 800, 850, 950, 1000]
+    assert [slot for slot, _, _ in out] == [1, 2, 1, 3, 1]
+    assert_rows_match_solo(model, admits, out)
 
 
 def test_scanner_with_more_rows_than_a_block_holds(monkeypatch):
@@ -193,16 +218,42 @@ def test_scanner_with_more_rows_than_a_block_holds(monkeypatch):
     model = make_model()
     rng = np.random.default_rng(5)
     rows = [padded(rng.integers(0, 12, k)) for k in (3, 9, 1, 17, 24, 6, 2)]
-    scanner = Scanner(model)
-    names, results = {}, {}
-    for k, row in enumerate(rows):
-        names[scanner.admit(row)] = k
-        if k == 2:  # the one-token row leaves and its slot is taken again
-            results.update((names[slot], probs) for slot, probs in scanner.advance())
-    while scanner._next_end is not None:
-        results.update((names[slot], probs) for slot, probs in scanner.advance())
-    for k, row in enumerate(rows):
-        assert results[k].tobytes() == solo(model, row).tobytes(), k
+    # the one-token row leaves after step 0 and its slot is taken again
+    admits = [(0 if k < 3 else 1, row) for k, row in enumerate(rows)]
+    out = run_schedule(Scanner(model), admits)
+    assert [slot for slot, _, _ in out] == [1, 2, 3, 3, 4, 5, 6]
+    assert_rows_match_solo(model, admits, out)
+
+
+SCHEDULE_SPAN = 300
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    budget=st.sampled_from([1, 2, 3, 5, 8, 64]),
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, SCHEDULE_SPAN),  # admit step
+            st.integers(0, SCHEDULE_SPAN),  # ids before the padding
+            st.sampled_from([0.0, 0.1, 0.5]),  # share of interior zeros
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_scanner_schedules_match_solo_forward(budget, rows):
+    model = memory_model(SCHEDULE_SPAN)
+    admits = []
+    for at, n, zeros, seed in rows:
+        rng = np.random.default_rng(seed)
+        ids = np.zeros(SCHEDULE_SPAN, dtype=np.int32)
+        ids[:n] = rng.integers(1, 12, n) * (rng.random(n) >= zeros)
+        admits.append((at, ids))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mol_net, "_BLOCK_ROW_STEPS", budget)
+        out = run_schedule(Scanner(model), admits)
+    assert_rows_match_solo(model, admits, out)
 
 
 def test_scanner_reuses_slots_and_grows():

@@ -64,6 +64,12 @@ class TestSynth:
         chunk = corpus.read_chunk(out, catalog)
         assert len(chunk.records) == 4 * 3
 
+    def test_negative_per_combo_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "corpus.csv"
+        assert run(["synth", "--out", out, "--per-combo", -1]) == 1
+        assert capsys.readouterr().err == "error: record count must be >= 0, got -1\n"
+        assert not out.exists()
+
 
 @pytest.fixture()
 def trained(tmp_path):
@@ -219,6 +225,14 @@ class TestPipeline:
         assert seen["host"] == "127.0.0.1"
         assert seen["port"] == 8123
         assert isinstance(seen["svc"], service.PredictionService)
+
+    @pytest.mark.parametrize("port", [99999, 65536, -1])
+    def test_serve_port_out_of_range_exits_1(self, trained, monkeypatch, capsys, port):
+        monkeypatch.setattr(service, "serve", lambda *args: pytest.fail("serve was called"))
+        rc = run(["serve", "--model", trained["model"], "--vocab", trained["vocab"],
+                  "--port", port])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: port must be in [0, 65535], got {port}\n"
 
 
 class TestLabel:

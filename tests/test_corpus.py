@@ -423,6 +423,12 @@ class TestSynth:
         records = synth_generate(spec, all_label_combos(3, 5), seed=0)
         assert all(24 <= len(r.tokens) <= 48 for r in records)
 
+    def test_negative_count_is_a_config_error(self):
+        spec = default_synth_spec(2)
+        assert synth_generate(spec, all_label_combos(2, 0), seed=0) == []
+        with pytest.raises(ConfigError):
+            synth_generate(spec, all_label_combos(2, -1), seed=0)
+
     def test_deterministic(self):
         spec = default_synth_spec(2)
         a = synth_generate(spec, all_label_combos(2, 5), seed=3)

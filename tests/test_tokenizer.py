@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evmguard.errors import EvmGuardError, ParseError
+from evmguard.errors import ConfigError, EvmGuardError, ParseError
 from evmguard.tokenizer import (
     OOV_ID,
     PAD_ID,
@@ -66,6 +66,11 @@ class TestEncode:
         seq = encode([], self.vocab, max_sequence_length=3)
         assert seq.ids.tolist() == [0, 0, 0]
         assert seq.true_length == 0
+
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_length_below_one_is_a_config_error(self, max_len):
+        with pytest.raises(ConfigError):
+            encode(["aa"], self.vocab, max_len)
 
     def test_batch_shape(self):
         mat = encode_batch([["aa"], ["bb", "cc"]], self.vocab, 4)
