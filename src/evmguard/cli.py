@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import corpus, metrics, mol_net, service, tokenizer, trainer
-from .errors import ConfigError, EvmGuardError
+from .errors import ConfigError, EvmGuardError, MalformedInputError, ParseError
 from .evm_bytecode import preprocess, render
 
 
@@ -169,15 +169,19 @@ def _cmd_label(args) -> int:
     skipped = 0
     rows = corpus.read_csv(args.bytecodes, ["address", "bytecode"])
     next(rows)
-    for _, (address, hex_text) in rows:
+    for lineno, (address, hex_text) in rows:
         reports = reports_by_address.get(address)
         if not reports:
             skipped += 1
             continue
+        try:
+            tokens = tuple(preprocess(hex_text))
+        except MalformedInputError as exc:
+            raise ParseError(f"bytecode of {address!r}: {exc}", line=lineno) from None
         records.append(
             corpus.ContractRecord(
                 address=address,
-                tokens=tuple(preprocess(hex_text)),
+                tokens=tokens,
                 labels=corpus.arbitrate_labels(reports, profiles, catalog),
             )
         )

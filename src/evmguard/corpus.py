@@ -217,22 +217,19 @@ def chunk(
 
 def write_chunk(chk: Chunk, path, catalog: ClassCatalog) -> None:
     """Write one chunk CSV; MalformedInputError, before writing, if a field would exceed MAX_FIELD_CHARS."""
-    for rec in chk.records:
-        rendered = sum(map(len, rec.tokens)) + len(rec.tokens) - 1  # render()'s length
-        longest = max(len(rec.address), rendered)
+    rows = [[rec.address, render(rec.tokens), *("1" if b else "0" for b in rec.labels)]
+            for rec in chk.records]
+    for address, bytecode, *_ in rows:
+        longest = max(len(address), len(bytecode))
         if longest > MAX_FIELD_CHARS:
             raise MalformedInputError(
-                f"record {rec.address[:42]!r}: a field of {longest} characters is longer "
+                f"record {address[:42]!r}: a field of {longest} characters is longer "
                 f"than a chunk CSV holds ({MAX_FIELD_CHARS}, the largest code the EVM accepts)"
             )
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["address", "bytecode", *catalog.names])
-        for rec in chk.records:
-            writer.writerow(
-                [rec.address, render(list(rec.tokens))]
-                + ["1" if b else "0" for b in rec.labels]
-            )
+        writer.writerows(rows)
 
 
 def read_csv(path, header: list[str] | None = None):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import re
 from importlib import resources
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import MalformedInputError, ParseError
 
@@ -38,6 +38,7 @@ _HEX_DIGITS = set("0123456789abcdefABCDEF")
 _HEX_BODY = re.compile("[0-9a-fA-F]*")
 
 _BYTE_TOKENS = tuple(f"{b:02x}" for b in range(256))
+_RENDERED_TOKENS = frozenset(_BYTE_TOKENS) | {INVALID_TOKEN}
 
 
 def _family_token(tok: str) -> str:
@@ -118,21 +119,22 @@ def normalize(ops: list[str]) -> list[str]:
     return [_NORMALIZED.get(tok, tok) for tok in ops]
 
 
-def render(tokens: list[str]) -> str:
+def render(tokens: Sequence[str]) -> str:
     """Serialize a token sequence as space-separated lowercase hex pairs."""
     return " ".join(tokens)
 
 
 def parse_rendered(text: str) -> list[str]:
-    """Inverse of render(). Raises ParseError on any bad token."""
+    """Inverse of render(): tokens split by single spaces, each two lowercase hex digits or "xx".
+
+    "" is no tokens; any other token, "" included, is a ParseError naming the first one.
+    """
     if not text:
         return []
     tokens = text.split(" ")
-    for tok in tokens:
-        if tok == INVALID_TOKEN:
-            continue
-        if len(tok) != 2 or not all(c in "0123456789abcdef" for c in tok):
-            raise ParseError(f"invalid opcode token {tok!r}")
+    if not _RENDERED_TOKENS.issuperset(tokens):
+        bad = next(tok for tok in tokens if tok not in _RENDERED_TOKENS)
+        raise ParseError(f"invalid opcode token {bad!r}")
     return tokens
 
 

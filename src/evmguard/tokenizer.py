@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -80,7 +81,7 @@ def fit(corpus: Iterable[list[str]]) -> Vocabulary:
 
 
 def encode(
-    tokens: list[str],
+    tokens: Sequence[str],
     vocab: Vocabulary,
     max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH,
 ) -> TokenSequence:
@@ -89,21 +90,24 @@ def encode(
         raise ConfigError("max_sequence_length must be >= 1")
     kept = tokens[:max_sequence_length]
     ids = np.zeros(max_sequence_length, dtype=np.int32)
-    lookup = vocab.token_to_id.get
-    ids[: len(kept)] = [lookup(tok, OOV_ID) for tok in kept]
+    token_ids = map(vocab.token_to_id.get, kept, repeat(OOV_ID))
+    ids[: len(kept)] = np.fromiter(token_ids, np.int32, len(kept))
     return TokenSequence(ids=ids, true_length=len(kept))
 
 
 def encode_batch(
-    sequences: Iterable[list[str]],
+    sequences: Iterable[Sequence[str]],
     vocab: Vocabulary,
     max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH,
 ) -> np.ndarray:
-    """Encode many token lists into one (batch, max_sequence_length) id matrix."""
-    rows = [encode(seq, vocab, max_sequence_length).ids for seq in sequences]
-    if not rows:
-        return np.zeros((0, max_sequence_length), dtype=np.int32)
-    return np.stack(rows)
+    """Encode many token sequences into one (batch, max_sequence_length) id matrix."""
+    if max_sequence_length < 1:
+        raise ConfigError("max_sequence_length must be >= 1")
+    sequences = list(sequences)
+    ids = np.empty((len(sequences), max_sequence_length), dtype=np.int32)
+    for row, seq in zip(ids, sequences):
+        row[:] = encode(seq, vocab, max_sequence_length).ids
+    return ids
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:

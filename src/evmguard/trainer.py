@@ -76,7 +76,7 @@ def encode_records(
     vocab: Vocabulary,
     max_sequence_length: int,
 ) -> EncodedSet:
-    ids = encode_batch([list(r.tokens) for r in records], vocab, max_sequence_length)
+    ids = encode_batch([r.tokens for r in records], vocab, max_sequence_length)
     if records:
         labels = np.array([r.labels for r in records], dtype=np.float32)
     else:

@@ -275,6 +275,23 @@ class TestLabel:
         assert by_address["0xaa"].tokens == ("60", "60", "52")
 
 
+    def test_bad_hex_names_line_and_address(self, tmp_path, capsys):
+        bytecodes = tmp_path / "bytecodes.csv"
+        bytecodes.write_text("address,bytecode\n0xaa,6001\n0xbb,0x60zz\n")
+        profiles = tmp_path / "profiles.csv"
+        profiles.write_text("tool,class_id,f1\n" + "".join(f"t,{c},0.5\n" for c in range(1, 9)))
+        reports = tmp_path / "reports.csv"
+        reports.write_text("tool,address,class_id,verdict\nt,0xaa,1,1\nt,0xbb,1,0\n")
+        out = tmp_path / "labeled.csv"
+        rc = run(["label", "--bytecodes", bytecodes, "--reports", reports,
+                  "--profiles", profiles, "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: line 3: bytecode of '0xbb': invalid hex digit 'z' at position 2\n"
+        )
+        assert not out.exists()
+
+
 class TestErrors:
     def test_unknown_subcommand_is_systemexit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,8 +4,9 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from evmguard.corpus import Chunk, ClassCatalog, ContractRecord, read_chunk, write_chunk
 from evmguard.errors import MalformedInputError, ParseError
 from evmguard.evm_bytecode import (
     INVALID_TOKEN,
@@ -253,3 +254,86 @@ def test_push_operand_elision_for_every_width(k, data):
 @given(st.binary(max_size=600))
 def test_preprocess_matches_a_linear_scan_of_the_table_text(raw):
     assert preprocess(raw.hex()) == _reference_preprocess(raw)
+
+
+# --- the chunk-CSV token grammar, against a reference that splits by hand ---
+
+_LOWER_HEX = set("0123456789abcdef")
+
+
+def _reference_parse(text):
+    """(tokens, None) if `text` is "" or single-space-separated tokens, each "xx" or two
+    of 0-9a-f; otherwise (None, the first token between single spaces that is neither)."""
+    if text == "":
+        return [], None
+    tokens, token = [], ""
+    for ch in text + " ":
+        if ch != " ":
+            token += ch
+        elif token == "xx" or (len(token) == 2 and set(token) <= _LOWER_HEX):
+            tokens.append(token)
+            token = ""
+        else:
+            return None, token
+    return tokens, None
+
+
+_VALID_TOKENS = st.sampled_from([f"{b:02x}" for b in range(256)] + [INVALID_TOKEN])
+_BAD_TOKENS = st.one_of(
+    st.sampled_from([f"{b:02X}" for b in range(256) if f"{b:02X}" != f"{b:02x}"]),  # uppercase hex
+    st.text(alphabet="0123456789abcdef", min_size=1, max_size=1),
+    st.text(alphabet="0123456789abcdef", min_size=3, max_size=3),
+    st.sampled_from(["x", "X", "xX", "Xx", "XX", "xxx", "0x", "x0"]),
+    st.sampled_from(["\u0660\u0661", "\uff10\uff11", "\u00b2\u00b3", "\U0001d7d8\U0001d7d9",
+                     "6\u0660"]),  # non-ASCII digits
+    st.sampled_from(["\t", "6\t", "\t0", "60\t"]),
+)
+_SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t"])
+_EDGES = st.sampled_from(["", "", " ", "  "])
+
+
+@st.composite
+def _rendered_texts(draw):
+    tokens = draw(st.lists(st.one_of(_VALID_TOKENS, _VALID_TOKENS, _BAD_TOKENS), max_size=8))
+    text = tokens[0] if tokens else ""
+    for tok in tokens[1:]:
+        text += draw(_SEPARATORS) + tok
+    return draw(_EDGES) + text + draw(_EDGES)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(_VALID_TOKENS, max_size=8).map(" ".join), _rendered_texts()))
+@example("60 XX 00")
+@example("60 xx  00")
+@example(" 60")
+@example("60 ")
+@example("6A")
+@example("60\t00")
+def test_parse_rendered_accepts_exactly_the_token_grammar(text):
+    tokens, bad = _reference_parse(text)
+    if bad is None:
+        assert parse_rendered(text) == tokens
+        assert render(tokens) == text
+    else:
+        with pytest.raises(ParseError) as exc:
+            parse_rendered(text)
+        assert str(exc.value) == f"invalid opcode token {bad!r}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(st.lists(_VALID_TOKENS, min_size=1, max_size=6), min_size=1, max_size=5),
+    where=st.data(),
+    bad=_BAD_TOKENS,
+)
+def test_read_chunk_names_the_line_of_a_mutated_token(tmp_path_factory, rows, where, bad):
+    row = where.draw(st.integers(0, len(rows) - 1))
+    col = where.draw(st.integers(0, len(rows[row]) - 1))
+    rows[row][col] = bad
+    catalog = ClassCatalog(("A",))
+    records = tuple(ContractRecord(f"0x{i:02x}", tuple(t), (False,)) for i, t in enumerate(rows))
+    path = tmp_path_factory.mktemp("chunk") / "chunk.csv"
+    write_chunk(Chunk(0, records), path, catalog)
+    with pytest.raises(ParseError) as exc:
+        read_chunk(path, catalog)
+    assert str(exc.value) == f"line {row + 2}: bytecode column: invalid opcode token {bad!r}"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evmguard.corpus import ContractRecord
 from evmguard.errors import ConfigError, EvmGuardError, ParseError
 from evmguard.tokenizer import (
     OOV_ID,
@@ -15,6 +16,7 @@ from evmguard.tokenizer import (
     load_vocab,
     save_vocab,
 )
+from evmguard.trainer import encode_records
 
 TOKENS = st.text(alphabet="0123456789abcdef", min_size=2, max_size=2)
 
@@ -71,6 +73,9 @@ class TestEncode:
     def test_length_below_one_is_a_config_error(self, max_len):
         with pytest.raises(ConfigError):
             encode(["aa"], self.vocab, max_len)
+        for sequences in ([], [["aa"]]):
+            with pytest.raises(ConfigError):
+                encode_batch(sequences, self.vocab, max_len)
 
     def test_batch_shape(self):
         mat = encode_batch([["aa"], ["bb", "cc"]], self.vocab, 4)
@@ -80,6 +85,37 @@ class TestEncode:
     def test_empty_batch(self):
         mat = encode_batch([], self.vocab, 4)
         assert mat.shape == (0, 4)
+
+
+def _reference_ids(tokens, mapping, max_len):
+    """Dict lookup, one token at a time: known id or 1, cut at max_len, then 0s."""
+    row = [mapping[t] if t in mapping else 1 for t in list(tokens)[:max_len]]
+    return row + [0] * (max_len - len(row))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sequences=st.lists(st.lists(st.sampled_from(["aa", "bb", "cc", "dd", "zz", "<OOV>", "<PAD>"]),
+                                max_size=10), max_size=5),
+    max_len=st.integers(min_value=1, max_value=8),
+)
+def test_encoders_match_a_dict_lookup_for_lists_and_tuples(sequences, max_len):
+    vocab = fit([["aa", "bb", "cc"]])
+    want = np.array([_reference_ids(t, vocab.token_to_id, max_len) for t in sequences],
+                    dtype=np.int32).reshape(len(sequences), max_len)
+    for shape in (list, tuple):
+        seqs = [shape(t) for t in sequences]
+        for seq, row in zip(seqs, want):
+            got = encode(seq, vocab, max_len)
+            assert got.ids.dtype == np.int32 and got.ids.tolist() == row.tolist()
+            assert got.true_length == min(len(seq), max_len)
+        batch = encode_batch(seqs, vocab, max_len)
+        assert batch.dtype == np.int32 and batch.shape == want.shape
+        assert np.array_equal(batch, want)
+    records = [ContractRecord(f"0x{i:02x}", tuple(t), (False,)) for i, t in enumerate(sequences)]
+    enc = encode_records(records, vocab, max_len)
+    assert enc.ids.dtype == np.int32 and enc.ids.shape == want.shape
+    assert np.array_equal(enc.ids, want)
 
 
 class TestPersistence:
