@@ -14,7 +14,8 @@ from pathlib import Path
 
 from . import corpus, metrics, mol_net, service, tokenizer, trainer
 from .errors import ConfigError, EvmGuardError, MalformedInputError, ParseError
-from .evm_bytecode import preprocess, render
+# `preprocess` names the per-contract stage; it yields Opcodes
+from .evm_bytecode import opcodes as preprocess, render
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -175,7 +176,7 @@ def _cmd_label(args) -> int:
             skipped += 1
             continue
         try:
-            tokens = tuple(preprocess(hex_text))
+            tokens = preprocess(hex_text)
         except MalformedInputError as exc:
             raise ParseError(f"bytecode of {address!r}: {exc}", line=lineno) from None
         records.append(
@@ -224,9 +225,7 @@ def _train_config(args) -> trainer.TrainConfig:
 def _cmd_train(args) -> int:
     config = _train_config(args)
     chunks, catalog = _read_chunks_dir(args.chunks_dir)
-    vocab = tokenizer.fit(
-        list(r.tokens) for c in chunks for r in c.records
-    )
+    vocab = tokenizer.fit(r.tokens for c in chunks for r in c.records)
     stem = mol_net.StemConfig(
         vocab_size=len(vocab),
         embedding_dim=args.embedding_dim,

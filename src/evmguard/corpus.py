@@ -9,6 +9,8 @@ is seed-deterministic so corpora are reproducible artifacts.
 from __future__ import annotations
 
 import csv
+import io
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,7 @@ from .errors import (
     ShortageError,
     not_utf8,
 )
-from .evm_bytecode import parse_rendered, render
+from .evm_bytecode import parse_cell, render
 
 DEFAULT_CLASS_NAMES = (
     "CALLSTACK",
@@ -43,6 +45,9 @@ DEFAULT_CHUNK_SIZE = 1024
 # csv's limit is process-wide, so it is raised once, here, and never lowered.
 MAX_FIELD_CHARS = 3 * 49_152
 csv.field_size_limit(max(csv.field_size_limit(), MAX_FIELD_CHARS))
+
+# The characters of a rendered bytecode cell; a cell of only these needs no CSV quoting.
+_PLAIN_CELL = b"0123456789abcdefx "
 
 
 @dataclass(frozen=True)
@@ -70,8 +75,14 @@ def default_catalog() -> ClassCatalog:
 
 @dataclass(frozen=True)
 class ContractRecord:
+    """One contract: its normalized tokens and one label per class.
+
+    `tokens` is a tuple of str, or the `Opcodes` that `read_chunk` and
+    `evmguard label` build (one uint16 code per token), which reads as one.
+    """
+
     address: str
-    tokens: tuple[str, ...]
+    tokens: Sequence[str]
     labels: tuple[bool, ...]
 
     def is_clean(self) -> bool:
@@ -226,10 +237,21 @@ def write_chunk(chk: Chunk, path, catalog: ClassCatalog) -> None:
                 f"record {address[:42]!r}: a field of {longest} characters is longer "
                 f"than a chunk CSV holds ({MAX_FIELD_CHARS}, the largest code the EVM accepts)"
             )
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["address", "bytecode", *catalog.names])
+    lines = [buf.getvalue()]
+    for address, bytecode, *labels in rows:
+        buf.seek(0)
+        buf.truncate()
+        if bytecode.encode(errors="replace").translate(None, _PLAIN_CELL):
+            writer.writerow([address, bytecode, *labels])
+            lines.append(buf.getvalue())
+        else:  # written as is, the same bytes the csv writer's scan of every character gives
+            writer.writerow([address, ""])
+            lines.append(buf.getvalue()[:-2] + bytecode + "".join("," + v for v in labels) + "\r\n")
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["address", "bytecode", *catalog.names])
-        writer.writerows(rows)
+        f.writelines(lines)
 
 
 def read_csv(path, header: list[str] | None = None):
@@ -266,7 +288,7 @@ def read_chunk(path, catalog: ClassCatalog | None = None, index: int = 0) -> Chu
     records = []
     for lineno, row in rows:
         try:
-            tokens = tuple(parse_rendered(row[1]))
+            tokens = parse_cell(row[1])
         except ParseError as exc:
             raise ParseError(f"bytecode column: {exc}", line=lineno) from None
         labels = []

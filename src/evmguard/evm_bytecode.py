@@ -3,59 +3,76 @@
 Turns a hex-encoded contract into the canonical opcode token stream the
 rest of the pipeline consumes:
 
-    parse_hex -> disassemble -> normalize -> render
+    parse_hex -> opcodes (disassemble + normalize in one pass) -> render
 
 Tokens are two lowercase hex digits ("60", "01", ...) with the special
 token "xx" standing for byte values the instruction table does not assign.
-The table is pinned to one EVM revision (Istanbul, `data/opcodes.txt`) and
-is not pluggable: every caller decodes against the same 256 widths.
-Normalization collapses the PUSH/DUP/SWAP/LOG families onto their first
-member, so the normalized alphabet never contains 0x61-0x7f, 0x81-0x8f,
-0x91-0x9f, or 0xa1-0xa4.
+The pipeline carries a contract's tokens as `Opcodes`: one uint16 code per
+token, 0-255 for the token of that byte value and 256 for "xx" (so a
+literal "61" and "xx" stay apart), read back as a tuple of str only where
+a caller asks for one.
+
+One 256-entry table, pinned to one EVM revision (Istanbul,
+`data/opcodes.txt`) and not pluggable, gives every byte value its
+instruction width and the code of its normalized token. Normalization
+collapses the PUSH/DUP/SWAP/LOG families onto their first member, so the
+normalized alphabet never contains 0x61-0x7f, 0x81-0x8f, 0x91-0x9f, or
+0xa1-0xa4; unassigned byte values get the "xx" code. `disassemble` and
+`normalize` are the same two steps on str tokens.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Sequence
 from importlib import resources
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import MalformedInputError, ParseError
 
-# Sentinel token for byte values with no table entry.
+# Sentinel token for byte values with no table entry, and its code.
 INVALID_TOKEN = "xx"
+INVALID_CODE = 256
 
-# Family ranges collapsed by normalize(): (first_byte, last_byte) -> head byte.
+# Family ranges collapsed by normalization: (first_byte, last_byte, head byte).
 _FAMILY_RANGES = (
     (0x60, 0x7F, 0x60),  # PUSH1..PUSH32
     (0x80, 0x8F, 0x80),  # DUP1..DUP16
     (0x90, 0x9F, 0x90),  # SWAP1..SWAP16
     (0xA0, 0xA4, 0xA0),  # LOG0..LOG4
 )
+_FAMILY_HEADS = {b: head for lo, hi, head in _FAMILY_RANGES for b in range(lo, hi + 1)}
 
 _HEX_DIGITS = set("0123456789abcdefABCDEF")
 _HEX_BODY = re.compile("[0-9a-fA-F]*")
 
-_BYTE_TOKENS = tuple(f"{b:02x}" for b in range(256))
-_RENDERED_TOKENS = frozenset(_BYTE_TOKENS) | {INVALID_TOKEN}
+# The token of every code: the 256 two-digit lowercase byte tokens, then "xx".
+TOKENS = tuple(f"{b:02x}" for b in range(256)) + (INVALID_TOKEN,)
+_RENDERED_TOKENS = frozenset(TOKENS)
 
+# normalize()'s str map: each family member, in either case, to its head's token.
+_NORMALIZED = {
+    f"{b:{case}}": TOKENS[head] for b, head in _FAMILY_HEADS.items() for case in ("02x", "02X")
+}
 
-def _family_token(tok: str) -> str:
-    byte = int(tok, 16)
-    for lo, hi, head in _FAMILY_RANGES:
-        if lo <= byte <= hi:
-            return f"{head:02x}"
-    return tok
-
-
-# normalize()'s token map: every two-hex-digit token, in either case, to its family head.
-_NORMALIZED = {a + b: _family_token(a + b) for a in _HEX_DIGITS for b in _HEX_DIGITS}
+# render() gathers one token-and-separator cell per code.
+_CELLS = np.array([tok.encode() + b" " for tok in TOKENS], dtype="S3")
+# A rendered cell, plus one trailing space, viewed as (token, separator) triples; the
+# two token characters read as one little-endian uint16 index into _PAIR_CODES, whose
+# entries are the token's code, or 0xFFFF for a pair that is no token.
+_TRIPLE = np.dtype([("pair", "<u2"), ("sep", "u1")])
+_PAIR_CODES = np.full(1 << 16, 0xFFFF, dtype=np.uint16)
+_PAIR_CODES[[int.from_bytes(tok.encode(), "little") for tok in TOKENS]] = range(len(TOKENS))
 
 
 class ByteTable(NamedTuple):
     widths: tuple[int, ...]  # bytes taken by the instruction at each byte value, 0 if unassigned
     entries: frozenset[int]  # the byte values opcodes.txt assigns
+    codes: np.ndarray  # uint16 code of each byte value's normalized token, read-only
+    operands: bytes  # bytes.translate table: 1 where the instruction has operand bytes, else 0
 
 
 @functools.cache
@@ -67,7 +84,53 @@ def default_table() -> ByteTable:
         if line and not line.startswith("#"):
             byte, _mnemonic, operands = line.split()
             widths[int(byte, 16)] = 1 + int(operands)
-    return ByteTable(tuple(widths), frozenset(b for b, w in enumerate(widths) if w))
+    codes = np.array(
+        [_FAMILY_HEADS.get(b, b) if w else INVALID_CODE for b, w in enumerate(widths)],
+        dtype=np.uint16,
+    )
+    codes.flags.writeable = False
+    return ByteTable(
+        tuple(widths),
+        frozenset(b for b, w in enumerate(widths) if w),
+        codes,
+        bytes(w > 1 for w in widths),
+    )
+
+
+class Opcodes(Sequence[str]):
+    """Tokens held as one uint16 code each (`TOKENS[code]` is the token).
+
+    Reads as a tuple of str: indexing gives the token, slicing gives
+    Opcodes, and it equals (and hashes like) the tuple of its tokens.
+    Like a tuple it never equals a list.
+    """
+
+    __slots__ = ("codes",)
+
+    def __init__(self, codes: np.ndarray):
+        self.codes = codes
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Opcodes(self.codes[index])
+        return TOKENS[self.codes[index]]
+
+    def __iter__(self):
+        return map(TOKENS.__getitem__, self.codes.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, Opcodes):
+            return np.array_equal(self.codes, other.codes)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Opcodes({tuple(self)!r})"
 
 
 def parse_hex(text: str) -> bytes:
@@ -89,26 +152,30 @@ def parse_hex(text: str) -> bytes:
     return bytes.fromhex(body)
 
 
+def _instruction_bytes(raw: bytes, table: ByteTable) -> bytes:
+    """The opcode byte of every instruction, PUSH operands dropped.
+
+    Only bytes in the PUSH range can start an operand, so the loop visits
+    those alone: one at or past the end of the last operand is a PUSH, and
+    the bytes before it are one-byte instructions.
+    """
+    parts, start = [], 0
+    for i in np.flatnonzero(np.frombuffer(raw.translate(table.operands), np.bool_)).tolist():
+        if i >= start:
+            parts.append(raw[start : i + 1])
+            start = i + table.widths[raw[i]]
+    parts.append(raw[start:])
+    return b"".join(parts)
+
+
 def disassemble(raw: bytes) -> list[str]:
     """Linear-scan decode into opcode tokens, consuming PUSH operand bytes.
 
     Unknown bytes become the "xx" sentinel; a PUSH whose operand runs past
     the end of code still emits its token. Never raises.
     """
-    widths = default_table().widths
-    tokens: list[str] = []
-    i = 0
-    n = len(raw)
-    while i < n:
-        byte = raw[i]
-        width = widths[byte]
-        if width:
-            tokens.append(_BYTE_TOKENS[byte])
-            i += width
-        else:
-            tokens.append(INVALID_TOKEN)
-            i += 1
-    return tokens
+    table = default_table()
+    return [TOKENS[b] if table.widths[b] else INVALID_TOKEN for b in _instruction_bytes(raw, table)]
 
 
 def normalize(ops: list[str]) -> list[str]:
@@ -119,25 +186,42 @@ def normalize(ops: list[str]) -> list[str]:
     return [_NORMALIZED.get(tok, tok) for tok in ops]
 
 
+def opcodes(hex_text: str) -> Opcodes:
+    """parse_hex, then disassemble and normalize in one pass through the table, as codes."""
+    table = default_table()
+    raw = _instruction_bytes(parse_hex(hex_text), table)
+    return Opcodes(table.codes.take(np.frombuffer(raw, np.uint8)))
+
+
+def preprocess(hex_text: str) -> list[str]:
+    """Full hex-to-normalized-tokens pipeline, as str tokens."""
+    return list(opcodes(hex_text))
+
+
 def render(tokens: Sequence[str]) -> str:
     """Serialize a token sequence as space-separated lowercase hex pairs."""
+    if isinstance(tokens, Opcodes):
+        return _CELLS.take(tokens.codes).tobytes()[:-1].decode("ascii")
     return " ".join(tokens)
 
 
-def parse_rendered(text: str) -> list[str]:
+def parse_cell(text: str) -> Opcodes:
     """Inverse of render(): tokens split by single spaces, each two lowercase hex digits or "xx".
 
     "" is no tokens; any other token, "" included, is a ParseError naming the first one.
     """
-    if not text:
-        return []
-    tokens = text.split(" ")
-    if not _RENDERED_TOKENS.issuperset(tokens):
-        bad = next(tok for tok in tokens if tok not in _RENDERED_TOKENS)
-        raise ParseError(f"invalid opcode token {bad!r}")
-    return tokens
+    data = text.encode(errors="replace") + b" "
+    if len(data) % 3 == 0:
+        triples = np.frombuffer(data, _TRIPLE)
+        codes = _PAIR_CODES.take(triples["pair"])
+        if (triples["sep"] == 32).all() and not (codes > INVALID_CODE).any():
+            return Opcodes(codes)
+    elif not text:
+        return Opcodes(np.empty(0, dtype=np.uint16))
+    bad = next(tok for tok in text.split(" ") if tok not in _RENDERED_TOKENS)
+    raise ParseError(f"invalid opcode token {bad!r}")
 
 
-def preprocess(hex_text: str) -> list[str]:
-    """Full hex-to-normalized-tokens pipeline used by corpus building and serving."""
-    return normalize(disassemble(parse_hex(hex_text)))
+def parse_rendered(text: str) -> list[str]:
+    """parse_cell() as str tokens."""
+    return list(parse_cell(text))

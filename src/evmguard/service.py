@@ -51,7 +51,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from .errors import EvmGuardError, MalformedInputError
-from .evm_bytecode import preprocess
+# `preprocess` names the per-request stage; it yields Opcodes
+from .evm_bytecode import opcodes as preprocess
 # `forward` stays bound here, unused, because perfbench's serve launcher wraps service.forward.
 from .mol_net import MolModel, Scanner, forward  # noqa: F401
 from .tokenizer import Vocabulary, encode

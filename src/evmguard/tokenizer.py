@@ -9,13 +9,14 @@ stays total on tokens never seen in training.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ParseError, not_utf8
+from .evm_bytecode import TOKENS, Opcodes
 
 PAD_TOKEN = "<PAD>"
 OOV_TOKEN = "<OOV>"
@@ -28,6 +29,8 @@ DEFAULT_MAX_SEQUENCE_LENGTH = 4100
 @dataclass(frozen=True)
 class Vocabulary:
     token_to_id: dict[str, int]
+    # the id of every opcode code's token, built once: encode() looks Opcodes up here
+    code_ids: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.token_to_id.get(PAD_TOKEN) != PAD_ID:
@@ -37,6 +40,8 @@ class Vocabulary:
         ids = sorted(self.token_to_id.values())
         if ids != list(range(len(ids))):
             raise ParseError("vocabulary ids must be contiguous from 0")
+        code_ids = np.array([self.id_of(tok) for tok in TOKENS], dtype=np.int32)
+        object.__setattr__(self, "code_ids", code_ids)
 
     def __len__(self) -> int:
         return len(self.token_to_id)
@@ -70,11 +75,15 @@ class TokenSequence:
     true_length: int
 
 
-def fit(corpus: Iterable[list[str]]) -> Vocabulary:
+def fit(corpus: Iterable[Sequence[str]]) -> Vocabulary:
     """Assign ids by first appearance across the corpus scan."""
     mapping = {PAD_TOKEN: PAD_ID, OOV_TOKEN: OOV_ID}
     for tokens in corpus:
-        for tok in tokens:
+        if isinstance(tokens, Opcodes):
+            firsts = map(TOKENS.__getitem__, dict.fromkeys(tokens.codes.tolist()))
+        else:
+            firsts = dict.fromkeys(tokens)
+        for tok in firsts:
             if tok not in mapping:
                 mapping[tok] = len(mapping)
     return Vocabulary(mapping)
@@ -90,8 +99,11 @@ def encode(
         raise ConfigError("max_sequence_length must be >= 1")
     kept = tokens[:max_sequence_length]
     ids = np.zeros(max_sequence_length, dtype=np.int32)
-    token_ids = map(vocab.token_to_id.get, kept, repeat(OOV_ID))
-    ids[: len(kept)] = np.fromiter(token_ids, np.int32, len(kept))
+    if isinstance(kept, Opcodes):
+        vocab.code_ids.take(kept.codes, out=ids[: len(kept)])
+    else:
+        token_ids = map(vocab.token_to_id.get, kept, repeat(OOV_ID))
+        ids[: len(kept)] = np.fromiter(token_ids, np.int32, len(kept))
     return TokenSequence(ids=ids, true_length=len(kept))
 
 
