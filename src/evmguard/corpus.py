@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -254,6 +255,33 @@ def write_chunk(chk: Chunk, path, catalog: ClassCatalog) -> None:
         f.writelines(lines)
 
 
+def _csv_rows(f):
+    """The rows csv.reader gives for the lines of text file `f`; bad CSV is a ParseError naming the line.
+
+    A line with no quote, no NUL (csv before Python 3.11 refuses one) and no
+    more characters than csv's field limit is split at its commas.
+    csv.reader reads any other line, and the lines its quoted field runs on
+    to, so its per-character parse runs only where it can change the row.
+    """
+    limit = csv.field_size_limit()
+    line_num = 0
+    for line in f:
+        if '"' in line or "\0" in line or len(line) > limit:
+            reader = csv.reader(itertools.chain([line], f))
+            try:
+                row = next(reader)
+            except csv.Error as exc:
+                raise ParseError(f"bad CSV: {exc}", line=line_num + reader.line_num) from None
+            line_num += reader.line_num
+        else:
+            line_num += 1
+            row = line.split(",")
+            row[-1] = row[-1].rstrip("\r\n")
+            if row == [""]:
+                row = []
+        yield row
+
+
 def read_csv(path, header: list[str] | None = None):
     """Stream `(line number, row)` pairs of a UTF-8 CSV file, header row first.
 
@@ -261,7 +289,7 @@ def read_csv(path, header: list[str] | None = None):
     as the header, bad CSV or bytes that are not UTF-8 raise ParseError.
     """
     with open(path, encoding="utf-8", newline="") as f:
-        rows = csv.reader(f)
+        rows = _csv_rows(f)
         try:
             first = next(rows, None)
             if first is None:
@@ -273,8 +301,6 @@ def read_csv(path, header: list[str] | None = None):
                 if len(row) != len(first):
                     raise ParseError(f"expected {len(first)} columns, got {len(row)}", line=lineno)
                 yield lineno, row
-        except csv.Error as exc:
-            raise ParseError(f"bad CSV: {exc}", line=rows.line_num) from None
         except UnicodeDecodeError:
             raise not_utf8(path) from None
 

@@ -142,14 +142,18 @@ def parse_hex(text: str) -> bytes:
     body = text.strip()
     if body[:2] in ("0x", "0X"):
         body = body[2:]
+    try:
+        raw = bytes.fromhex(body)
+        if 2 * len(raw) == len(body):  # fromhex also skips whitespace between bytes
+            return raw
+    except ValueError:
+        pass
     if not _HEX_BODY.fullmatch(body):
         pos, ch = next((pos, ch) for pos, ch in enumerate(body) if ch not in _HEX_DIGITS)
         raise MalformedInputError(f"invalid hex digit {ch!r} at position {pos}")
-    if len(body) % 2 != 0:
-        raise MalformedInputError(
-            f"odd number of hex digits ({len(body)}); bytecode must be whole bytes"
-        )
-    return bytes.fromhex(body)
+    raise MalformedInputError(
+        f"odd number of hex digits ({len(body)}); bytecode must be whole bytes"
+    )
 
 
 def _instruction_bytes(raw: bytes, table: ByteTable) -> bytes:
@@ -159,11 +163,11 @@ def _instruction_bytes(raw: bytes, table: ByteTable) -> bytes:
     those alone: one at or past the end of the last operand is a PUSH, and
     the bytes before it are one-byte instructions.
     """
-    parts, start = [], 0
+    widths, parts, start = table.widths, [], 0
     for i in np.flatnonzero(np.frombuffer(raw.translate(table.operands), np.bool_)).tolist():
         if i >= start:
             parts.append(raw[start : i + 1])
-            start = i + table.widths[raw[i]]
+            start = i + widths[raw[i]]
     parts.append(raw[start:])
     return b"".join(parts)
 

@@ -4,7 +4,11 @@ The reference here is the str pipeline spelled out: the 256-width loop,
 the family map and `" ".join`, with a dict lookup for ids.
 """
 
+import csv
+import io
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from evmguard import corpus, tokenizer
 from evmguard.corpus import Chunk, ClassCatalog, ContractRecord, read_chunk, write_chunk
+from evmguard.errors import MalformedInputError
 from evmguard.evm_bytecode import (
     INVALID_TOKEN,
     TOKENS,
@@ -21,6 +26,7 @@ from evmguard.evm_bytecode import (
     normalize,
     opcodes,
     parse_cell,
+    parse_hex,
     preprocess,
     render,
 )
@@ -109,6 +115,33 @@ def test_codes_agree_with_the_str_pipeline(raw, max_len):
     assert seq.ids.tolist() == _lookup_ids(want, _VOCAB, max_len)
     assert seq.true_length == min(len(want), max_len)
     assert encode(want, _VOCAB, max_len).ids.tolist() == seq.ids.tolist()
+
+
+def _reference_parse_hex(text):
+    """The hex check spelled out: the first non-hex character, then an odd length."""
+    body = text.strip()
+    body = body[2:] if body[:2] in ("0x", "0X") else body
+    for pos, ch in enumerate(body):
+        if ch not in "0123456789abcdefABCDEF":
+            return f"invalid hex digit {ch!r} at position {pos}"
+    if len(body) % 2:
+        return f"odd number of hex digits ({len(body)}); bytecode must be whole bytes"
+    return bytes(int(body[i : i + 2], 16) for i in range(0, len(body), 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789abcdefABx \t\n\u0660\uff10g", max_size=12))
+@example("60 01")
+@example("0x6001\n02")
+@example("600")
+def test_parse_hex_matches_the_check_spelled_out(text):
+    want = _reference_parse_hex(text)
+    if isinstance(want, bytes):
+        assert parse_hex(text) == want
+    else:
+        with pytest.raises(MalformedInputError) as exc:
+            parse_hex(text)
+        assert str(exc.value) == want
 
 
 def test_opcodes_read_as_a_tuple_of_str():
@@ -220,3 +253,62 @@ def test_fit_on_codes_writes_the_str_fit_vocabulary(tmp_path, make):
     assert (tmp_path / "codes.tsv").read_bytes() == (tmp_path / "str.tsv").read_bytes()
     assert from_codes.fingerprint() == reference.fingerprint()
     assert fit(list(r.tokens) for r in records).token_to_id == reference.token_to_id
+
+
+# --- chunk rows are the csv writer's bytes, rendered cells written as is ---
+
+_CELL_TOKENS = st.sampled_from(["60", "xx", "61", "ff", "6A", "a,", '"', "\n", "\r", "é", " ", ""])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.text(max_size=6), st.lists(_CELL_TOKENS, max_size=5),
+                          st.lists(st.booleans(), min_size=2, max_size=2)), max_size=4))
+def test_write_chunk_writes_what_the_csv_writer_writes(rows):
+    catalog = ClassCatalog(("A", 'b,"c"'))
+    records = tuple(ContractRecord(a, tuple(t), tuple(labels)) for a, t, labels in rows)
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(["address", "bytecode", *catalog.names])
+    writer.writerows([r.address, " ".join(r.tokens), *("1" if b else "0" for b in r.labels)]
+                     for r in records)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "chunk.csv"
+        write_chunk(Chunk(0, records), path, catalog)
+        assert path.read_bytes() == want.getvalue().encode()
+
+
+# --- CSV rows: split at commas where no quote can change them, else csv.reader ---
+
+
+def _reference_rows(path):
+    """csv.reader over the file: its rows, then ("error", message, line) if it raises."""
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        rows = []
+        try:
+            rows.extend(reader)
+        except csv.Error as exc:
+            rows.append(("error", f"line {reader.line_num}: bad CSV: {exc}"))
+        return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet='ab,"\r\n\0 é', max_size=40))
+@example('a,"b\r\nc",d\n1,2\n')
+@example('\n\r\n\r,\n"')
+@example('a\0b\nc')
+def test_csv_rows_are_what_csv_reader_gives(text):
+    from evmguard.corpus import _csv_rows
+    from evmguard.errors import ParseError
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        path.write_bytes(text.encode())
+        want = _reference_rows(path)
+        got = []
+        with open(path, encoding="utf-8", newline="") as f:
+            try:
+                got.extend(_csv_rows(f))
+            except ParseError as exc:
+                got.append(("error", str(exc)))
+    assert got == want
