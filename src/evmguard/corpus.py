@@ -248,7 +248,7 @@ def write_chunk(chk: Chunk, path, catalog: ClassCatalog) -> None:
         if bytecode.encode(errors="replace").translate(None, _PLAIN_CELL):
             writer.writerow([address, bytecode, *labels])
             lines.append(buf.getvalue())
-        else:  # written as is, the same bytes the csv writer's scan of every character gives
+        else:  # needs no quoting: the csv writer's bytes, without its scan of every character
             writer.writerow([address, ""])
             lines.append(buf.getvalue()[:-2] + bytecode + "".join("," + v for v in labels) + "\r\n")
     with open(path, "w", encoding="utf-8", newline="") as f:

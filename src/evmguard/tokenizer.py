@@ -9,7 +9,8 @@ stays total on tokens never seen in training.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Sequence
 
@@ -29,8 +30,6 @@ DEFAULT_MAX_SEQUENCE_LENGTH = 4100
 @dataclass(frozen=True)
 class Vocabulary:
     token_to_id: dict[str, int]
-    # the id of every opcode code's token, built once: encode() looks Opcodes up here
-    code_ids: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.token_to_id.get(PAD_TOKEN) != PAD_ID:
@@ -40,14 +39,17 @@ class Vocabulary:
         ids = sorted(self.token_to_id.values())
         if ids != list(range(len(ids))):
             raise ParseError("vocabulary ids must be contiguous from 0")
-        code_ids = np.array([self.id_of(tok) for tok in TOKENS], dtype=np.int32)
-        object.__setattr__(self, "code_ids", code_ids)
 
     def __len__(self) -> int:
         return len(self.token_to_id)
 
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, OOV_ID)
+
+    @cached_property
+    def code_ids(self) -> np.ndarray:
+        """The id of each opcode code's token (`evm_bytecode.TOKENS`): encode() looks Opcodes up here."""
+        return np.array([self.id_of(tok) for tok in TOKENS], dtype=np.int32)
 
     def fingerprint(self) -> str:
         """Stable digest of the mapping, used to tie models to their tokenizer."""
