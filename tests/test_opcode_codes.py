@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from evmguard import corpus, tokenizer
-from evmguard.corpus import Chunk, ClassCatalog, ContractRecord, read_chunk, write_chunk
-from evmguard.errors import MalformedInputError
+from evmguard.corpus import Chunk, ClassCatalog, ContractRecord, _csv_rows, read_chunk, write_chunk
+from evmguard.errors import MalformedInputError, ParseError
 from evmguard.evm_bytecode import (
     INVALID_TOKEN,
     TOKENS,
@@ -298,9 +298,6 @@ def _reference_rows(path):
 @example('\n\r\n\r,\n"')
 @example('a\0b\nc')
 def test_csv_rows_are_what_csv_reader_gives(text):
-    from evmguard.corpus import _csv_rows
-    from evmguard.errors import ParseError
-
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.csv"
         path.write_bytes(text.encode())
