@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import (
     ShortageError,
     not_utf8,
 )
-from .evm_bytecode import parse_cell, render
+from .evm_bytecode import Opcodes, parse_cell, render
 
 DEFAULT_CLASS_NAMES = (
     "CALLSTACK",
@@ -46,9 +45,6 @@ DEFAULT_CHUNK_SIZE = 1024
 # csv's limit is process-wide, so it is raised once, here, and never lowered.
 MAX_FIELD_CHARS = 3 * 49_152
 csv.field_size_limit(max(csv.field_size_limit(), MAX_FIELD_CHARS))
-
-# The characters of a rendered bytecode cell; a cell of only these needs no CSV quoting.
-_PLAIN_CELL = b"0123456789abcdefx "
 
 
 @dataclass(frozen=True)
@@ -78,13 +74,17 @@ def default_catalog() -> ClassCatalog:
 class ContractRecord:
     """One contract: its normalized tokens and one label per class.
 
-    `tokens` is a tuple of str, or the `Opcodes` that `read_chunk` and
-    `evmguard label` build (one uint16 code per token), which reads as one.
+    `tokens` is any sequence of the 257 cell tokens, held as `Opcodes` (one
+    uint16 code per token, read as a tuple of str); any other token is a
+    MalformedInputError, so every record's chunk row reads back as written.
     """
 
     address: str
-    tokens: Sequence[str]
+    tokens: Opcodes
     labels: tuple[bool, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "tokens", Opcodes.of(self.tokens))
 
     def is_clean(self) -> bool:
         return not any(self.labels)
@@ -229,28 +229,24 @@ def chunk(
 
 def write_chunk(chk: Chunk, path, catalog: ClassCatalog) -> None:
     """Write one chunk CSV; MalformedInputError, before writing, if a field would exceed MAX_FIELD_CHARS."""
-    rows = [[rec.address, render(rec.tokens), *("1" if b else "0" for b in rec.labels)]
-            for rec in chk.records]
-    for address, bytecode, *_ in rows:
-        longest = max(len(address), len(bytecode))
-        if longest > MAX_FIELD_CHARS:
-            raise MalformedInputError(
-                f"record {address[:42]!r}: a field of {longest} characters is longer "
-                f"than a chunk CSV holds ({MAX_FIELD_CHARS}, the largest code the EVM accepts)"
-            )
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["address", "bytecode", *catalog.names])
     lines = [buf.getvalue()]
-    for address, bytecode, *labels in rows:
+    for rec in chk.records:
+        bytecode = render(rec.tokens)
+        longest = max(len(rec.address), len(bytecode))
+        if longest > MAX_FIELD_CHARS:
+            raise MalformedInputError(
+                f"record {rec.address[:42]!r}: a field of {longest} characters is longer "
+                f"than a chunk CSV holds ({MAX_FIELD_CHARS}, the largest code the EVM accepts)"
+            )
+        # the csv writer quotes the address; a rendered cell and the labels never need quoting
         buf.seek(0)
         buf.truncate()
-        if bytecode.encode(errors="replace").translate(None, _PLAIN_CELL):
-            writer.writerow([address, bytecode, *labels])
-            lines.append(buf.getvalue())
-        else:  # needs no quoting: the csv writer's bytes, without its scan of every character
-            writer.writerow([address, ""])
-            lines.append(buf.getvalue()[:-2] + bytecode + "".join("," + v for v in labels) + "\r\n")
+        writer.writerow([rec.address, ""])
+        labels = "".join(",1" if b else ",0" for b in rec.labels)
+        lines.append(buf.getvalue()[:-2] + bytecode + labels + "\r\n")
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.writelines(lines)
 
@@ -334,7 +330,10 @@ def read_chunk(path, catalog: ClassCatalog | None = None, index: int = 0) -> Chu
 def _header_catalog(header: list[str]) -> ClassCatalog:
     if header[:2] != ["address", "bytecode"] or len(header) < 3:
         raise ParseError(f"bad header {header!r}", line=1)
-    return ClassCatalog(tuple(header[2:]))
+    try:
+        return ClassCatalog(tuple(header[2:]))
+    except ConfigError as exc:
+        raise ParseError(f"bad header {header!r}: {exc}", line=1) from None
 
 
 def read_corpus_catalog(path) -> ClassCatalog:
@@ -413,6 +412,10 @@ class SynthSpec:
             raise ConfigError("filler alphabet must be nonempty")
         if not 1 <= self.min_length <= self.max_length:
             raise ConfigError("need 1 <= min_length <= max_length")
+        try:
+            Opcodes.of([*self.filler, *(tok for motif in self.motifs for tok in motif)])
+        except MalformedInputError as exc:
+            raise ConfigError(f"motif and filler tokens must be cell tokens: {exc}") from None
         seen: set[str] = set(self.filler)
         for motif in self.motifs:
             if not motif:

@@ -6,19 +6,19 @@ rest of the pipeline consumes:
     parse_hex -> opcodes (disassemble + normalize in one pass) -> render
 
 Tokens are two lowercase hex digits ("60", "01", ...) with the special
-token "xx" standing for byte values the instruction table does not assign.
-The pipeline carries a contract's tokens as `Opcodes`: one uint16 code per
-token, 0-255 for the token of that byte value and 256 for "xx" (so a
-literal "61" and "xx" stay apart), read back as a tuple of str only where
-a caller asks for one.
+token "xx" standing for byte values the instruction table does not assign;
+these 257 are the cell tokens. The pipeline carries a contract's tokens as
+`Opcodes`: one uint16 code per token, 0-255 for the token of that byte
+value and 256 for "xx" (so a literal "61" and "xx" stay apart), read back
+as a tuple of str only where a caller asks for one. `Opcodes.of` is the
+one conversion from a sequence of cell tokens.
 
 One 256-entry table, pinned to one EVM revision (Istanbul,
 `data/opcodes.txt`) and not pluggable, gives every byte value its
 instruction width and the code of its normalized token. Normalization
 collapses the PUSH/DUP/SWAP/LOG families onto their first member, so the
 normalized alphabet never contains 0x61-0x7f, 0x81-0x8f, 0x91-0x9f, or
-0xa1-0xa4; unassigned byte values get the "xx" code. `disassemble` and
-`normalize` are the same two steps on str tokens.
+0xa1-0xa4; unassigned byte values get the "xx" code.
 """
 
 from __future__ import annotations
@@ -37,26 +37,19 @@ from .errors import MalformedInputError, ParseError
 INVALID_TOKEN = "xx"
 INVALID_CODE = 256
 
-# Family ranges collapsed by normalization: (first_byte, last_byte, head byte).
-_FAMILY_RANGES = (
-    (0x60, 0x7F, 0x60),  # PUSH1..PUSH32
-    (0x80, 0x8F, 0x80),  # DUP1..DUP16
-    (0x90, 0x9F, 0x90),  # SWAP1..SWAP16
-    (0xA0, 0xA4, 0xA0),  # LOG0..LOG4
-)
-_FAMILY_HEADS = {b: head for lo, hi, head in _FAMILY_RANGES for b in range(lo, hi + 1)}
-
 _HEX_DIGITS = set("0123456789abcdefABCDEF")
 _HEX_BODY = re.compile("[0-9a-fA-F]*")
 
 # The token of every code: the 256 two-digit lowercase byte tokens, then "xx".
 TOKENS = tuple(f"{b:02x}" for b in range(256)) + (INVALID_TOKEN,)
-_RENDERED_TOKENS = frozenset(TOKENS)
+_CODE_OF = {tok: code for code, tok in enumerate(TOKENS)}
 
-# normalize()'s str map: each family member, in either case, to its head's token.
-_NORMALIZED = {
-    f"{b:{case}}": TOKENS[head] for b, head in _FAMILY_HEADS.items() for case in ("02x", "02X")
-}
+# normalize()'s code-to-code map: each PUSH1..PUSH32, DUP1..DUP16, SWAP1..SWAP16 and
+# LOG0..LOG4 member to its family's first member, every other code to itself.
+_FAMILY_HEADS = np.arange(len(TOKENS), dtype=np.uint16)
+for _first, _last in ((0x60, 0x7F), (0x80, 0x8F), (0x90, 0x9F), (0xA0, 0xA4)):
+    _FAMILY_HEADS[_first : _last + 1] = _first
+_FAMILY_HEADS.flags.writeable = False
 
 # render() gathers one token-and-separator cell per code.
 _CELLS = np.array([tok.encode() + b" " for tok in TOKENS], dtype="S3")
@@ -84,10 +77,7 @@ def default_table() -> ByteTable:
         if line and not line.startswith("#"):
             byte, _mnemonic, operands = line.split()
             widths[int(byte, 16)] = 1 + int(operands)
-    codes = np.array(
-        [_FAMILY_HEADS.get(b, b) if w else INVALID_CODE for b, w in enumerate(widths)],
-        dtype=np.uint16,
-    )
+    codes = _FAMILY_HEADS.take([b if w else INVALID_CODE for b, w in enumerate(widths)])
     codes.flags.writeable = False
     return ByteTable(
         tuple(widths),
@@ -109,6 +99,18 @@ class Opcodes(Sequence[str]):
 
     def __init__(self, codes: np.ndarray):
         self.codes = codes
+
+    @staticmethod
+    def of(tokens: Sequence[str]) -> Opcodes:
+        """`tokens` as Opcodes: Opcodes unchanged, cell tokens as codes; MalformedInputError names the first other."""
+        if isinstance(tokens, Opcodes):
+            return tokens
+        count = len(tokens)
+        try:
+            return Opcodes(np.fromiter(map(_CODE_OF.__getitem__, tokens), np.uint16, count))
+        except (KeyError, TypeError):
+            bad = next(tok for tok in tokens if not isinstance(tok, str) or tok not in _CODE_OF)
+            raise MalformedInputError(f"invalid opcode token {bad!r}") from None
 
     def __len__(self) -> int:
         return self.codes.size
@@ -172,22 +174,24 @@ def _instruction_bytes(raw: bytes, table: ByteTable) -> bytes:
     return b"".join(parts)
 
 
-def disassemble(raw: bytes) -> list[str]:
-    """Linear-scan decode into opcode tokens, consuming PUSH operand bytes.
+def disassemble(raw: bytes) -> Opcodes:
+    """Linear-scan decode into opcode tokens, consuming PUSH operand bytes; not normalized.
 
     Unknown bytes become the "xx" sentinel; a PUSH whose operand runs past
     the end of code still emits its token. Never raises.
     """
     table = default_table()
-    return [TOKENS[b] if table.widths[b] else INVALID_TOKEN for b in _instruction_bytes(raw, table)]
+    codes = np.frombuffer(_instruction_bytes(raw, table), np.uint8).astype(np.uint16)
+    codes[table.codes.take(codes) == INVALID_CODE] = INVALID_CODE
+    return Opcodes(codes)
 
 
-def normalize(ops: list[str]) -> list[str]:
+def normalize(ops: Sequence[str]) -> Opcodes:
     """Collapse PUSH/DUP/SWAP/LOG family members onto the family head.
 
     All other tokens (including "xx") pass through; length is preserved.
     """
-    return [_NORMALIZED.get(tok, tok) for tok in ops]
+    return Opcodes(_FAMILY_HEADS.take(Opcodes.of(ops).codes))
 
 
 def opcodes(hex_text: str) -> Opcodes:
@@ -204,9 +208,7 @@ def preprocess(hex_text: str) -> list[str]:
 
 def render(tokens: Sequence[str]) -> str:
     """Serialize a token sequence as space-separated lowercase hex pairs."""
-    if isinstance(tokens, Opcodes):
-        return _CELLS.take(tokens.codes).tobytes()[:-1].decode("ascii")
-    return " ".join(tokens)
+    return _CELLS.take(Opcodes.of(tokens).codes).tobytes()[:-1].decode("ascii")
 
 
 def parse_cell(text: str) -> Opcodes:
@@ -222,10 +224,5 @@ def parse_cell(text: str) -> Opcodes:
             return Opcodes(codes)
     elif not text:
         return Opcodes(np.empty(0, dtype=np.uint16))
-    bad = next(tok for tok in text.split(" ") if tok not in _RENDERED_TOKENS)
+    bad = next(tok for tok in text.split(" ") if tok not in _CODE_OF)
     raise ParseError(f"invalid opcode token {bad!r}")
-
-
-def parse_rendered(text: str) -> list[str]:
-    """parse_cell() as str tokens."""
-    return list(parse_cell(text))

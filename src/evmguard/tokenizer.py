@@ -3,7 +3,8 @@
 Id 0 is reserved for padding and id 1 for out-of-vocabulary tokens; real
 tokens get ids 2, 3, ... in order of first appearance over the fitting
 corpus. Encoding truncates at the tail and right-pads with 0, so serving
-stays total on tokens never seen in training.
+stays total on tokens never seen in training. Both take only the 257
+cell tokens (`evm_bytecode.Opcodes.of`); any other is a MalformedInputError.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -81,13 +81,8 @@ def fit(corpus: Iterable[Sequence[str]]) -> Vocabulary:
     """Assign ids by first appearance across the corpus scan."""
     mapping = {PAD_TOKEN: PAD_ID, OOV_TOKEN: OOV_ID}
     for tokens in corpus:
-        if isinstance(tokens, Opcodes):
-            firsts = map(TOKENS.__getitem__, dict.fromkeys(tokens.codes.tolist()))
-        else:
-            firsts = dict.fromkeys(tokens)
-        for tok in firsts:
-            if tok not in mapping:
-                mapping[tok] = len(mapping)
+        for code in dict.fromkeys(Opcodes.of(tokens).codes.tolist()):
+            mapping.setdefault(TOKENS[code], len(mapping))
     return Vocabulary(mapping)
 
 
@@ -96,17 +91,13 @@ def encode(
     vocab: Vocabulary,
     max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH,
 ) -> TokenSequence:
-    """Map tokens to ids, truncate at the tail, right-pad with 0."""
+    """Map tokens to ids (OOV_ID for a cell token the vocabulary lacks), truncate at the tail, right-pad with 0."""
     if max_sequence_length < 1:
         raise ConfigError("max_sequence_length must be >= 1")
-    kept = tokens[:max_sequence_length]
+    kept = Opcodes.of(tokens).codes[:max_sequence_length]
     ids = np.zeros(max_sequence_length, dtype=np.int32)
-    if isinstance(kept, Opcodes):
-        vocab.code_ids.take(kept.codes, out=ids[: len(kept)])
-    else:
-        token_ids = map(vocab.token_to_id.get, kept, repeat(OOV_ID))
-        ids[: len(kept)] = np.fromiter(token_ids, np.int32, len(kept))
-    return TokenSequence(ids=ids, true_length=len(kept))
+    vocab.code_ids.take(kept, out=ids[: kept.size])
+    return TokenSequence(ids=ids, true_length=kept.size)
 
 
 def encode_batch(

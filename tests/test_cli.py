@@ -293,6 +293,16 @@ class TestLabel:
 
 
 class TestErrors:
+    def test_duplicate_class_in_corpus_header_names_line_1(self, tmp_path, capsys):
+        corpus_csv = tmp_path / "corpus.csv"
+        corpus_csv.write_text("address,bytecode,A,A\n0xaa,60,1,0\n")
+        assert run(["chunk", "--corpus", corpus_csv, "--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 1: bad header ['address', 'bytecode', 'A', 'A']: "
+            "class names must be unique\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_subcommand_is_systemexit_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])

@@ -5,7 +5,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from evmguard import cli
 from evmguard.corpus import (
@@ -40,6 +40,7 @@ from evmguard.errors import (
     ParseError,
     ShortageError,
 )
+from evmguard.evm_bytecode import TOKENS
 
 CAT2 = ClassCatalog(("A", "B"))
 
@@ -282,6 +283,46 @@ class TestChunkCsv:
         with pytest.raises(ParseError, match="line 2"):
             read_chunk(path, CAT2)
 
+    def test_duplicate_class_in_header_is_a_parse_error_on_line_1(self, tmp_path):
+        path = tmp_path / "chunk.csv"
+        path.write_text("address,bytecode,A,A\n0xaa,60,1,0\n")
+        for reader in (read_chunk, read_corpus_catalog):
+            with pytest.raises(ParseError) as exc:
+                reader(path)
+            assert str(exc.value) == (
+                "line 1: bad header ['address', 'bytecode', 'A', 'A']: class names must be unique"
+            )
+
+
+# a record's tokens: cell tokens, and strings that are none (a space, a short
+# or uppercase pair, CSV syntax, reserved vocabulary names)
+_MIXED_TOKENS = st.sampled_from(
+    ["60", "xx", "61", "ff", "00", "60 61", "6", "6A", "XX", "zz", "a,", '"', "\n", "", "<OOV>"]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_MIXED_TOKENS, max_size=6), max_size=4))
+@example([["60 61"]])  # one token whose chunk row would read back as two
+@example([["6"]])  # a token whose chunk row read_chunk would refuse
+@example([["60", "zz", "00"]])  # likewise, a token a synth filler could hold
+def test_a_record_refuses_its_first_bad_token_or_round_trips_through_a_chunk(tmp_path_factory, rows):
+    kept = []
+    for i, tokens in enumerate(rows):
+        bad = [tok for tok in tokens if tok not in TOKENS]
+        try:
+            record = ContractRecord(f"0x{i:02x}", tuple(tokens), (i % 2 == 0,))
+        except MalformedInputError as exc:
+            assert bad and str(exc) == f"invalid opcode token {bad[0]!r}"
+        else:
+            assert not bad
+            kept.append(record)
+    path = tmp_path_factory.mktemp("chunk") / "chunk.csv"
+    write_chunk(Chunk(0, tuple(kept)), path, ClassCatalog(("A",)))
+    read = read_chunk(path)
+    assert [r.tokens for r in read.records] == [tuple(r.tokens) for r in kept]
+    assert read.records == tuple(kept)
+
 
 class TestProfilesAndReportsCsv:
     def test_profiles_round_trip(self, tmp_path):
@@ -448,6 +489,23 @@ class TestSynth:
                 filler=("00",),
                 min_length=2,
                 max_length=4,
+            )
+
+    @pytest.mark.parametrize("motif, filler, bad", [
+        (("zz",), ("00", "01"), "zz"),
+        (("f1", "ff"), ("00", "zz"), "zz"),
+        (("f1", "60 61"), ("00",), "60 61"),
+        (("F1",), ("00",), "F1"),
+        ("f1", ("00",), "f"),
+    ])
+    def test_tokens_that_are_not_opcodes_rejected(self, motif, filler, bad):
+        with pytest.raises(ConfigError, match=f"invalid opcode token '{bad}'"):
+            SynthSpec(
+                catalog=ClassCatalog(("A",)),
+                motifs=(motif,),
+                filler=filler,
+                min_length=4,
+                max_length=8,
             )
 
     def test_motif_filler_overlap_rejected(self):

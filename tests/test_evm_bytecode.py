@@ -13,8 +13,8 @@ from evmguard.evm_bytecode import (
     default_table,
     disassemble,
     normalize,
+    parse_cell,
     parse_hex,
-    parse_rendered,
     preprocess,
     render,
 )
@@ -44,7 +44,7 @@ def _reference_preprocess(raw: bytes) -> list[str]:
         known = raw[i] in OPERAND_COUNTS
         tokens.append(f"{raw[i]:02x}" if known else INVALID_TOKEN)
         i += 1 + OPERAND_COUNTS[raw[i]] if known else 1
-    return normalize(tokens)
+    return list(normalize(tokens))
 
 
 class TestParseHex:
@@ -111,25 +111,25 @@ class TestOpcodeTable:
 
 class TestDisassemble:
     def test_push_operand_elided(self):
-        assert disassemble(b"\x60\x01") == ["60"]
+        assert disassemble(b"\x60\x01") == ("60",)
 
     def test_push32_swallows_32_bytes(self):
         raw = b"\x7f" + bytes(32) + b"\x00"
-        assert disassemble(raw) == ["7f", "00"]
+        assert disassemble(raw) == ("7f", "00")
 
     def test_truncated_push_still_emits(self):
         # PUSH2 with only one operand byte left: token kept, scan ends
-        assert disassemble(b"\x61\x01") == ["61"]
+        assert disassemble(b"\x61\x01") == ("61",)
 
     def test_unknown_byte_becomes_sentinel(self):
-        assert disassemble(b"\x0c") == [INVALID_TOKEN]
+        assert disassemble(b"\x0c") == (INVALID_TOKEN,)
 
     def test_empty(self):
-        assert disassemble(b"") == []
+        assert disassemble(b"") == ()
 
     def test_operands_never_decoded_as_opcodes(self):
         # PUSH1 ff: the ff is an operand, not SELFDESTRUCT
-        assert disassemble(b"\x60\xff\x01") == ["60", "01"]
+        assert disassemble(b"\x60\xff\x01") == ("60", "01")
 
     def test_all_256_bytes_match_a_freshly_parsed_table(self):
         every_byte = bytes(range(256))
@@ -150,27 +150,27 @@ class TestDisassemble:
 class TestNormalize:
     def test_push_family_merges(self):
         for k in range(0x60, 0x80):
-            assert normalize([f"{k:02x}"]) == ["60"]
+            assert normalize([f"{k:02x}"]) == ("60",)
 
     def test_dup_family_merges(self):
         for k in range(0x80, 0x90):
-            assert normalize([f"{k:02x}"]) == ["80"]
+            assert normalize([f"{k:02x}"]) == ("80",)
 
     def test_swap_family_merges(self):
         for k in range(0x90, 0xA0):
-            assert normalize([f"{k:02x}"]) == ["90"]
+            assert normalize([f"{k:02x}"]) == ("90",)
 
     def test_log_family_merges(self):
         for k in range(0xA0, 0xA5):
-            assert normalize([f"{k:02x}"]) == ["a0"]
+            assert normalize([f"{k:02x}"]) == ("a0",)
 
     def test_non_family_untouched(self):
-        assert normalize(["00", "01", "ff", INVALID_TOKEN]) == [
+        assert normalize(["00", "01", "ff", INVALID_TOKEN]) == (
             "00",
             "01",
             "ff",
             INVALID_TOKEN,
-        ]
+        )
 
     def test_length_preserved(self):
         tokens = ["61", "85", "9f", "a4", "00", "xx"]
@@ -185,10 +185,12 @@ class TestNormalize:
                     return f"{head:02x}"
             return tok
 
-        tokens = [f"{b:02x}" for b in range(256)]
-        tokens += [t.upper() for t in tokens] + [INVALID_TOKEN]
-        want = [INVALID_TOKEN if t == INVALID_TOKEN else reference(t) for t in tokens]
+        tokens = [f"{b:02x}" for b in range(256)] + [INVALID_TOKEN]
+        want = tuple(INVALID_TOKEN if t == INVALID_TOKEN else reference(t) for t in tokens)
         assert normalize(tokens) == want
+        for upper in {t.upper() for t in tokens} - set(tokens):  # not cell tokens
+            with pytest.raises(MalformedInputError, match=f"invalid opcode token '{upper}'"):
+                normalize(["60", upper])
 
 
 class TestRenderRoundTrip:
@@ -196,15 +198,15 @@ class TestRenderRoundTrip:
         assert render(["60", "00"]) == "60 00"
 
     def test_round_trip(self):
-        tokens = ["60", "80", "xx", "ff"]
-        assert parse_rendered(render(tokens)) == tokens
+        tokens = ("60", "80", "xx", "ff")
+        assert parse_cell(render(tokens)) == tokens
 
     def test_empty_round_trip(self):
-        assert parse_rendered(render([])) == []
+        assert parse_cell(render([])) == ()
 
     def test_bad_token_rejected(self):
         with pytest.raises(ParseError):
-            parse_rendered("60 nope")
+            parse_cell("60 nope")
 
 
 class TestPreprocess:
@@ -240,15 +242,15 @@ def test_normalize_is_idempotent_and_length_preserving(raw):
 @given(st.binary(max_size=400))
 def test_preprocess_round_trips_through_render(raw):
     tokens = normalize(disassemble(raw))
-    assert parse_rendered(render(tokens)) == tokens
+    assert parse_cell(render(tokens)) == tokens
 
 
 @given(st.integers(min_value=1, max_value=32), st.data())
 def test_push_operand_elision_for_every_width(k, data):
     operands = data.draw(st.binary(min_size=k, max_size=k))
     raw = bytes([0x60 + k - 1]) + operands
-    assert disassemble(raw) == [f"{0x60 + k - 1:02x}"]
-    assert normalize(disassemble(raw)) == ["60"]
+    assert disassemble(raw) == (f"{0x60 + k - 1:02x}",)
+    assert normalize(disassemble(raw)) == ("60",)
 
 
 @given(st.binary(max_size=600))
@@ -312,11 +314,11 @@ def _rendered_texts(draw):
 def test_parse_rendered_accepts_exactly_the_token_grammar(text):
     tokens, bad = _reference_parse(text)
     if bad is None:
-        assert parse_rendered(text) == tokens
+        assert parse_cell(text) == tuple(tokens)
         assert render(tokens) == text
     else:
         with pytest.raises(ParseError) as exc:
-            parse_rendered(text)
+            parse_cell(text)
         assert str(exc.value) == f"invalid opcode token {bad!r}"
 
 
@@ -329,11 +331,17 @@ def test_parse_rendered_accepts_exactly_the_token_grammar(text):
 def test_read_chunk_names_the_line_of_a_mutated_token(tmp_path_factory, rows, where, bad):
     row = where.draw(st.integers(0, len(rows) - 1))
     col = where.draw(st.integers(0, len(rows[row]) - 1))
-    rows[row][col] = bad
     catalog = ClassCatalog(("A",))
     records = tuple(ContractRecord(f"0x{i:02x}", tuple(t), (False,)) for i, t in enumerate(rows))
     path = tmp_path_factory.mktemp("chunk") / "chunk.csv"
     write_chunk(Chunk(0, records), path, catalog)
+    # a record cannot hold `bad`, so mutate the written file's text
+    lines = path.read_bytes().decode().split("\r\n")
+    address, cell, label = lines[row + 1].split(",")
+    tokens = cell.split(" ")
+    tokens[col] = bad
+    lines[row + 1] = ",".join([address, " ".join(tokens), label])
+    path.write_bytes("\r\n".join(lines).encode())
     with pytest.raises(ParseError) as exc:
         read_chunk(path, catalog)
     assert str(exc.value) == f"line {row + 2}: bytecode column: invalid opcode token {bad!r}"

@@ -437,7 +437,7 @@ def test_any_byte_mutation_loads_a_working_model_or_raises_load_error(tmp_path_f
         loaded = load_model(path)
     except LoadError:
         return
-    ids = encode(["a", "b"], fit([["a", "b"]]), loaded.stem.max_sequence_length).ids
+    ids = encode(["60", "01"], fit([["60", "01"]]), loaded.stem.max_sequence_length).ids
     probs = forward(loaded, ids[None] % loaded.stem.vocab_size)
     assert probs.shape == (1, len(loaded.branches))
     assert loaded.frozen <= set(loaded.params)

@@ -105,8 +105,8 @@ def test_codes_agree_with_the_str_pipeline(raw, max_len):
     codes = opcodes(raw.hex())
     assert isinstance(codes, Opcodes) and codes.codes.dtype == np.uint16
     assert preprocess(raw.hex()) == want
-    assert disassemble(raw) == _str_disassemble(raw)
-    assert normalize(disassemble(raw)) == want
+    assert disassemble(raw) == tuple(_str_disassemble(raw))
+    assert normalize(disassemble(raw)) == tuple(want)
     assert codes == tuple(want) and list(codes) == want and len(codes) == len(want)
     cell = render(codes)
     assert cell == " ".join(want)
@@ -265,7 +265,16 @@ _CELL_TOKENS = st.sampled_from(["60", "xx", "61", "ff", "6A", "a,", '"', "\n", "
                           st.lists(st.booleans(), min_size=2, max_size=2)), max_size=4))
 def test_write_chunk_writes_what_the_csv_writer_writes(rows):
     catalog = ClassCatalog(("A", 'b,"c"'))
-    records = tuple(ContractRecord(a, tuple(t), tuple(labels)) for a, t, labels in rows)
+    records = []
+    for a, t, labels in rows:
+        bad = [tok for tok in t if tok not in TOKENS]
+        if bad:  # only opcode cell tokens make a record
+            with pytest.raises(MalformedInputError) as exc:
+                ContractRecord(a, tuple(t), tuple(labels))
+            assert str(exc.value) == f"invalid opcode token {bad[0]!r}"
+        else:
+            records.append(ContractRecord(a, tuple(t), tuple(labels)))
+    records = tuple(records)
     want = io.StringIO()
     writer = csv.writer(want)
     writer.writerow(["address", "bytecode", *catalog.names])

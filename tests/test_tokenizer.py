@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evmguard.corpus import ContractRecord
-from evmguard.errors import ConfigError, EvmGuardError, ParseError
+from evmguard.errors import ConfigError, EvmGuardError, MalformedInputError, ParseError
 from evmguard.tokenizer import (
     OOV_ID,
     PAD_ID,
@@ -56,8 +56,11 @@ class TestEncode:
         assert seq.true_length == 2
 
     def test_unknown_maps_to_oov(self):
-        seq = encode(["aa", "zz"], self.vocab, max_sequence_length=4)
+        seq = encode(["aa", "dd"], self.vocab, max_sequence_length=4)
         assert seq.ids.tolist() == [2, OOV_ID, 0, 0]
+        for bad in ("zz", "<OOV>", "<PAD>"):  # not opcode tokens at all
+            with pytest.raises(MalformedInputError, match=f"invalid opcode token {bad!r}"):
+                encode(["aa", bad], self.vocab, max_sequence_length=4)
 
     def test_tail_truncation(self):
         seq = encode(["aa", "bb", "cc"], self.vocab, max_sequence_length=2)
@@ -101,6 +104,17 @@ def _reference_ids(tokens, mapping, max_len):
 )
 def test_encoders_match_a_dict_lookup_for_lists_and_tuples(sequences, max_len):
     vocab = fit([["aa", "bb", "cc"]])
+    not_opcodes = {"zz", "<OOV>", "<PAD>"}
+    if any(not_opcodes & set(t) for t in sequences):
+        for shape in (list, tuple):
+            with pytest.raises(MalformedInputError):
+                encode_batch([shape(t) for t in sequences], vocab, max_len)
+        bad = next(t for t in sequences if not_opcodes & set(t))
+        with pytest.raises(MalformedInputError):
+            encode(bad, vocab, max_len)
+        with pytest.raises(MalformedInputError):
+            ContractRecord("0x00", tuple(bad), (False,))
+        sequences = [t for t in sequences if not not_opcodes & set(t)]
     want = np.array([_reference_ids(t, vocab.token_to_id, max_len) for t in sequences],
                     dtype=np.int32).reshape(len(sequences), max_len)
     for shape in (list, tuple):
