@@ -33,9 +33,14 @@ coalesced (each runs its own row; the results are equal). At start-up the
 scan checks once that its products on 2 and 3 rows agree on the shared
 rows, the premise every cached answer is replayed on.
 
-The handler answers a body it cannot frame (no, a bad or a too-large
-Content-Length, or a body that ends or stalls before it) with an error and
-closes the connection; a client that hangs up ends only its connection.
+The handler reads the request line and headers itself, off the stdlib
+server's connection loop, and sends each answer, status line, headers and
+body, in one write. Every error is a JSON {"error": ...} document. It
+answers a request it cannot frame (a bad request line, an oversized or
+malformed header, more than one Content-Length, any Transfer-Encoding, no,
+a bad or a too-large Content-Length, or a body that ends or stalls before
+it) with an error and closes the connection; a client that hangs up ends
+only its connection.
 """
 
 from __future__ import annotations
@@ -65,6 +70,8 @@ CACHE_ENTRIES = 1024  # distinct token-id sequences whose probabilities are kept
 # bytes: 98,306 characters with "0x") plus JSON framing fits under this.
 MAX_BODY_BYTES = 1 << 17
 READ_TIMEOUT_S = 30.0  # per socket read or write on a connection
+MAX_LINE_BYTES = 65536  # one header line, CRLF included, as the stdlib caps the request line
+MAX_HEADERS = 100
 
 
 @dataclass
@@ -163,6 +170,7 @@ class PredictionService:
         self._lock = threading.Lock()
         self._scan = _SharedScan(model)
         self._cache: OrderedDict[bytes, np.ndarray] = OrderedDict()  # LRU, oldest first
+        self._cell_keys = [json.dumps(name) + ": " for name in model.class_names]
         self.requests_served = 0
 
     def config_document(self) -> str:
@@ -202,28 +210,37 @@ class PredictionService:
         elapsed = self.timer() - started
         with self._lock:
             self.requests_served += 1
-        if self.raw:
-            cells = ", ".join(
-                f"{json.dumps(name)}: {json.dumps(float(p))}"
-                for name, p in zip(self.model.class_names, probs)
-            )
-        else:
-            cells = ", ".join(
-                f"{json.dumps(name)}: {p:.4f}"
-                for name, p in zip(self.model.class_names, probs)
-            )
+        # float32 -> float is exact, so each cell reads as the float32 value did
+        fmt = json.dumps if self.raw else "{:.4f}".format
+        cells = ", ".join(key + fmt(p) for key, p in zip(self._cell_keys, probs.tolist()))
         return (
             '{"' + PREDICTION_KEY + '": {' + cells + '}, "'
             + TIMING_KEY + '": "' + f"{elapsed:.2f}" + '"}'
         )
 
 
+class _Headers(dict):
+    """Request header values by lowercased name; get() takes a name in any case."""
+
+    def get(self, name: str, default=None):
+        return super().get(name.lower(), default)
+
+
 class _Handler(BaseHTTPRequestHandler):
+    """The stdlib server's connection loop, with request parsing and answers of its own.
+
+    parse_request reads the request line and the headers straight off the
+    socket into a _Headers, and every answer, errors from the stdlib
+    included, is one JSON document sent in one write.
+    """
+
     protocol_version = "HTTP/1.1"
-    # Headers and body go out as two writes; with Nagle on, a keep-alive
-    # client's delayed ACK would hold the body back about 40 ms.
+    # Each answer is one write, but with Nagle on, a write that follows one
+    # the client has not yet acknowledged (an answer after a 100 Continue,
+    # or pipelined answers) would wait for its delayed ACK, about 40 ms.
     disable_nagle_algorithm = True
     timeout = READ_TIMEOUT_S
+    _date = (None, "")  # (whole second, its Date value), shared by every connection
 
     @property
     def service(self) -> PredictionService:
@@ -238,18 +255,82 @@ class _Handler(BaseHTTPRequestHandler):
         except ConnectionError:  # the client hung up; there is no one to answer
             self.close_connection = True
 
+    def parse_request(self) -> bool:
+        """Read `METHOD PATH HTTP/1.x` and its headers; False after answering a refused request.
+
+        Every refusal closes the connection.
+        """
+        self.close_connection = True
+        refusal = self._read_head()
+        if refusal is not None:
+            self._send_error(*refusal, close=True)
+            return False
+        connection = self.headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            self.request_version == "HTTP/1.0" and connection != "keep-alive"
+        )
+        if self.request_version == "HTTP/1.1" and self.headers.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return True
+
+    def _read_head(self) -> tuple[int, str] | None:
+        """Split the request line and read at most MAX_HEADERS header lines into a _Headers.
+
+        Returns the status and message of a refusal, or None.
+        """
+        words = self.raw_requestline.decode("latin-1").rstrip("\r\n").split(" ")
+        if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+            return 400, "request line is not `METHOD PATH HTTP/1.0|HTTP/1.1`"
+        self.command, self.path, self.request_version = words
+        self.headers = headers = _Headers()
+        for count in range(MAX_HEADERS + 1):
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                return 431, f"header line longer than {MAX_LINE_BYTES} bytes"
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if count == MAX_HEADERS:
+                return 431, f"more than {MAX_HEADERS} headers"
+            text = line.decode("latin-1").rstrip("\r\n")
+            name, colon, value = text.partition(":")
+            name = name.lower()
+            if not colon or not name or name != name.strip():
+                return 400, f"malformed header line {text[:80]!r}"
+            if name not in headers:
+                headers[name] = value.strip(" \t")
+            elif name == "content-length":
+                return 400, "more than one Content-Length"
+            # of any other repeated header, the first value is the one read
+        if "transfer-encoding" in headers:
+            return 501, "Transfer-Encoding is not supported"
+        return None
+
+    def _date_value(self) -> str:
+        now = int(time.time())
+        second, text = _Handler._date
+        if second != now:
+            text = self.date_time_string(now)
+            _Handler._date = (now, text)
+        return text
+
     def _send(self, status: int, body: str, close: bool = False) -> None:
         payload = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        if close:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(payload)
+        close = close or self.close_connection
+        head = (
+            f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\nDate: {self._date_value()}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(payload)}\r\n"
+            + ("Connection: close\r\n\r\n" if close else "\r\n")
+        )
+        self.close_connection = close
+        self.wfile.write(head.encode("latin-1") + payload)
 
     def _send_error(self, status: int, message: str, close: bool = False) -> None:
         self._send(status, json.dumps({"error": message}), close)
+
+    def send_error(self, code, message=None, explain=None):
+        """The stdlib's own refusals (414, 501 for an unknown method) as JSON, closing."""
+        self._send_error(code, message or self.responses[code][0], close=True)
 
     def _read_body(self) -> bytes | None:
         """The request body, or None after answering a request whose body cannot be read.

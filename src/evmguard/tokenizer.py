@@ -25,6 +25,7 @@ PAD_ID = 0
 OOV_ID = 1
 
 DEFAULT_MAX_SEQUENCE_LENGTH = 4100
+_LOADABLE = frozenset((PAD_TOKEN, OOV_TOKEN, *TOKENS))  # encode() reaches no other token
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,8 @@ def load_vocab(path) -> Vocabulary:
         if len(parts) != 2:
             raise ParseError("expected `<token>\\t<id>`", line=lineno)
         token, id_text = parts
+        if token not in _LOADABLE:
+            raise ParseError(f"token {token!r} is neither reserved nor a cell token", line=lineno)
         try:
             idx = int(id_text)
         except ValueError:

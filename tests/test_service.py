@@ -3,6 +3,7 @@
 import contextlib
 import http.client
 import json
+import re
 import socket
 import struct
 import sys
@@ -238,8 +239,9 @@ class TestHttp:
         assert all(pred == first for _, pred in results)
 
     def test_keep_alive_connection_has_nagle_off(self, http_service, monkeypatch):
-        # Headers and body are two writes; with Nagle on, the body of every
-        # keep-alive answer would wait for the client's delayed ACK.
+        # An answer is one write, but with Nagle on, one that follows an
+        # unacknowledged write (a 100 Continue, a pipelined answer) would
+        # wait for the client's delayed ACK.
         _, port = http_service
         seen = []
         handle = service_module._Handler.handle
@@ -618,3 +620,286 @@ class TestBatchInvarianceSelfCheck:
         names = [f"class_{k}" for k in range(8)]
         model = init_model(stem, [BranchConfig(n) for n in names], seed=3)
         mol_net.Scanner(model).check_batch_invariance()
+
+
+def old_document(names, probs, elapsed, raw):
+    """The document as formatted before the cells were precomputed: per cell, per request."""
+    if raw:
+        cells = ", ".join(f"{json.dumps(name)}: {json.dumps(float(p))}" for name, p in zip(names, probs))
+    else:
+        cells = ", ".join(f"{json.dumps(name)}: {p:.4f}" for name, p in zip(names, probs))
+    return '{"prediction": {' + cells + '}, "prediction_time in_second": "' + f"{elapsed:.2f}" + '"}'
+
+
+def escaped_name_service(raw):
+    """A service whose class names need JSON escapes."""
+    vocab = fit([["60", "52", "f1", "ff", "54", "55", "00"]])
+    stem = StemConfig(vocab_size=len(vocab), embedding_dim=3, gru_hidden=4, max_sequence_length=32)
+    names = ['al"pha', "bëta", "γ\\n/x"]
+    model = init_model(stem, [BranchConfig(n, (3, 1)) for n in names], seed=5)
+    model.vocab_fingerprint = vocab.fingerprint()
+    return PredictionService(model, vocab, raw=raw, timer=FakeTimer()), names
+
+
+class TestGoldenDocuments:
+    @pytest.mark.parametrize("raw", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(contract=st.lists(st.sampled_from(OPS), max_size=40).map("".join))
+    def test_documents_equal_the_per_cell_formatter(self, raw, contract):
+        service, names = escaped_name_service(raw)
+        probs = service.predict_probabilities(contract)
+        assert probs.dtype == np.float32
+        assert service.predict_document(contract) == old_document(names, probs, 0.02, raw)
+
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_served_documents_equal_the_per_cell_formatter(self, raw):
+        service, names = escaped_name_service(raw)
+        with serving(service) as port:
+            for contract in ("0x", "6060604052f1ff", "ff" * 40):
+                status, body = request(port, "POST", "/predict", json.dumps({REQUEST_FIELD: contract}))
+                probs = service.predict_probabilities(contract)
+                assert (status, body) == (200, old_document(names, probs, 0.02, raw))
+
+    def test_float32_and_float_format_alike_at_rounding_boundaries(self):
+        # every k/10^4 + 5/10^5 in [0, 1], and the float32 values on either side of it
+        halves = (np.arange(10_001) / 10_000 + 0.00005).astype(np.float32)
+        values = np.concatenate(
+            [halves, np.nextafter(halves, 0), np.nextafter(halves, 1), [0.0, 1.0, 1e-45]]
+        ).astype(np.float32)
+        for p, q in zip(values, values.tolist()):
+            assert f"{p:.4f}" == f"{q:.4f}"
+            assert json.dumps(float(p)) == json.dumps(q)
+
+
+def read_answers(reply):
+    """Split a reply stream into (status, lowercased headers, body) answers.
+
+    Fails unless every answer is a well-formed HTTP/1.1 one: a status line,
+    headers, and, past a 100 Continue, a JSON body of its Content-Length.
+    """
+    answers = []
+    while reply:
+        head, blank, reply = reply.partition(b"\r\n\r\n")
+        assert blank, f"unterminated head {head[:200]!r}"
+        status_line, *lines = head.split(b"\r\n")
+        assert re.fullmatch(rb"HTTP/1\.1 [1-5]\d\d [ A-Za-z-]+", status_line), status_line
+        status = int(status_line.split(b" ")[1])
+        fields = dict(line.lower().split(b": ", 1) for line in lines)
+        if status == 100:
+            assert fields == {}
+            continue
+        length = int(fields[b"content-length"])
+        body, reply = reply[:length], reply[length:]
+        answers.append((status, fields, json.loads(body)))
+        assert b"connection" not in fields or not reply  # nothing follows a close
+    return answers
+
+
+def exchange(port, data, timeout=5):
+    """Send `data`, half-close, and return every answer up to the server's close."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return read_answers(reply)
+
+
+def mixed_case(name):
+    return st.lists(st.booleans(), min_size=len(name), max_size=len(name)).map(
+        lambda upper: "".join(c.upper() if u else c.lower() for c, u in zip(name, upper))
+    )
+
+
+HEADER_NAMES = ["Content-Length", "Connection", "Expect", "Transfer-Encoding", "Host", "X-Request-Id"]
+HEADER_VALUES = ["24", "3", "-1", "close", "keep-alive", "100-continue", "chunked", "", " 24 ", "x"]
+HEADER_LINES = st.tuples(st.sampled_from(HEADER_NAMES).flatmap(mixed_case), st.sampled_from(HEADER_VALUES)).map(
+    lambda nv: f"{nv[0]}: {nv[1]}\r\n".encode()
+)
+FRAGMENTS = st.sampled_from([
+    b"GET /config HTTP/1.1\r\n", b"POST /predict HTTP/1.1\r\n", b"GET /config HTTP/1.0\r\n",
+    b"POST /nope HTTP/1.1\r\n", b"PUT /predict HTTP/1.1\r\n", b"GET /config\r\n", b"GET /config HTTP/2.0\r\n",
+    b"GET  /config HTTP/1.1\r\n", b"get /config http/1.1\r\n", b" folded\r\n", b"\tfolded: too\r\n",
+    b"NoColon\r\n", b": no name\r\n", b"Host : spaced\r\n", b"\r\n", b"\n",
+    b'{"smart_contract": "6060"}', b"0\r\n\r\n",
+])
+REQUEST_BYTES = st.lists(st.one_of(FRAGMENTS, HEADER_LINES, st.binary(max_size=30)), max_size=14).map(b"".join)
+
+
+@pytest.fixture()
+def served_errors(http_service, monkeypatch):
+    """A served model and the list every handle_error call lands in."""
+    errors = []
+    monkeypatch.setattr(
+        service_module.ThreadingHTTPServer, "handle_error",
+        lambda server, request, address: errors.append(sys.exc_info()[1]),
+    )
+    return http_service[1], errors
+
+
+class TestHttpRequestParsing:
+    def test_any_request_bytes_get_well_formed_answers_then_a_close(self, served_errors):
+        port, errors = served_errors
+
+        @settings(max_examples=200, deadline=None)
+        @given(data=REQUEST_BYTES)
+        def check(data):
+            for status, fields, document in exchange(port, data):
+                assert (status < 400) or set(document) == {"error"}
+            assert errors == []
+
+        check()
+
+    def test_two_content_lengths_are_400(self, http_service):
+        _, port = http_service
+        body = b'{"smart_contract": "60"}'
+        data = post_head(b"Content-Length: 24\r\nContent-Length: 5\r\n") + body
+        status, document = raw_exchange(port, data, shut_write=True)
+        assert status == 400
+        assert "Content-Length" in document["error"]
+
+    @pytest.mark.parametrize("coding", [b"chunked", b"identity", b"gzip, chunked"])
+    def test_any_transfer_encoding_is_501(self, http_service, coding):
+        _, port = http_service
+        data = post_head(b"Transfer-Encoding: " + coding + b"\r\nContent-Length: 5\r\n") + b"0\r\n\r\n"
+        status, document = raw_exchange(port, data, shut_write=True)
+        assert status == 501
+        assert "Transfer-Encoding" in document["error"]
+
+    def test_unknown_method_is_a_json_501(self, http_service):
+        _, port = http_service
+        data = b"PUT /predict HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"
+        status, document = raw_exchange(port, data, shut_write=True)
+        assert status == 501
+        assert "PUT" in document["error"]
+
+    @pytest.mark.parametrize("line", [
+        b"GET /config\r\n", b"GET /config HTTP/2.0\r\n", b"GET /config HTTP/1.1 x\r\n",
+        b"GET  /config HTTP/1.1\r\n", b"\r\n", b"\x00\xff garbage\r\n",
+    ])
+    def test_bad_request_line_is_400_at_once(self, http_service, line):
+        # no half-close: an HTTP/0.9 line used to hold the connection until the read timeout
+        _, port = http_service
+        status, document = raw_exchange(port, line)
+        assert status == 400
+        assert "request line" in document["error"]
+
+    @pytest.mark.parametrize("line", [b" folded\r\n", b"\tfolded\r\n", b"NoColon\r\n", b": x\r\n", b"Host : a\r\n"])
+    def test_malformed_header_line_is_400(self, http_service, line):
+        _, port = http_service
+        status, document = raw_exchange(port, b"GET /config HTTP/1.1\r\nHost: a\r\n" + line + b"\r\n")
+        assert status == 400
+        assert "header line" in document["error"]
+
+    def test_request_line_of_65537_bytes_is_414(self, http_service):
+        _, port = http_service
+        tail = b" HTTP/1.1\r\n"
+        line = b"GET /" + b"a" * (65_537 - 5 - len(tail)) + tail
+        assert len(line) == 65_537
+        status, _ = raw_exchange(port, line, shut_write=True)
+        assert status == 414
+
+    def test_header_line_of_65537_bytes_is_431(self, http_service):
+        _, port = http_service
+        line = b"X-Long: " + b"a" * (65_537 - 10) + b"\r\n"
+        assert len(line) == 65_537
+        status, document = raw_exchange(port, b"GET /config HTTP/1.1\r\n" + line, shut_write=True)
+        assert status == 431
+        assert "header line" in document["error"]
+
+    def test_header_line_of_65536_bytes_is_read(self, http_service):
+        _, port = http_service
+        line = b"X-Long: " + b"a" * (65_536 - 10) + b"\r\n"
+        data = b"GET /config HTTP/1.1\r\n" + line + b"Connection: close\r\n\r\n"
+        assert [status for status, _, _ in exchange(port, data)] == [200]
+
+    @pytest.mark.parametrize("distinct", [True, False])
+    def test_more_than_100_headers_is_431(self, http_service, distinct):
+        _, port = http_service
+        lines = b"".join(b"X-%d: 1\r\n" % k if distinct else b"X-Same: 1\r\n" for k in range(101))
+        status, document = raw_exchange(port, b"GET /config HTTP/1.1\r\n" + lines, shut_write=True)
+        assert status == 431
+        assert "100 headers" in document["error"]
+
+    def test_100_headers_are_read(self, http_service):
+        _, port = http_service
+        lines = b"".join(b"X-%d: 1\r\n" % k for k in range(99)) + b"Connection: close\r\n"
+        answers = exchange(port, b"GET /config HTTP/1.1\r\n" + lines + b"\r\n")
+        assert [status for status, _, _ in answers] == [200]
+
+    def test_expect_100_continue_gets_an_interim_answer_before_the_body(self, http_service):
+        service, port = http_service
+        body = json.dumps({REQUEST_FIELD: "6060604052"}).encode()
+        head = post_head(b"Expect: 100-Continue\r\nConnection: close\r\nContent-Length: %d\r\n" % len(body))
+        with socket.create_connection(("127.0.0.1", port), timeout=2) as sock:
+            sock.sendall(head)
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += sock.recv(1)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        [(status, _, document)] = read_answers(reply)
+        assert status == 200
+        assert document == json.loads(service.predict_document("6060604052"))
+
+    def test_http_1_0_keeps_alive_only_when_asked(self, http_service):
+        _, port = http_service
+        ask = b"GET /config HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"
+        default = b"GET /config HTTP/1.0\r\n\r\n"
+        answers = exchange(port, ask + ask + default + ask)  # the last is never read
+        assert [status for status, _, _ in answers] == [200, 200, 200]
+        assert [fields.get(b"connection") for _, fields, _ in answers] == [None, None, b"close"]
+
+    def test_connection_close_is_answered_with_close(self, http_service):
+        _, port = http_service
+        answers = exchange(port, b"GET /config HTTP/1.1\r\nConnection: close\r\n\r\nGET /config HTTP/1.1\r\n\r\n")
+        assert [(status, fields[b"connection"]) for status, fields, _ in answers] == [(200, b"close")]
+
+    def test_answer_headers_and_one_write(self, http_service, monkeypatch):
+        service, port = http_service
+        writes = []
+        handle = service_module._Handler.handle
+
+        def spy(handler):
+            write = handler.wfile.write
+            handler.wfile.write = lambda data: writes.append(bytes(data)) or write(data)
+            handle(handler)
+
+        monkeypatch.setattr(service_module._Handler, "handle", spy)
+        payload = json.dumps({REQUEST_FIELD: "6060604052"})
+        assert request(port, "POST", "/predict", payload)[0] == 200
+        assert len(writes) == 1
+        head, _, body = writes[0].partition(b"\r\n\r\n")
+        status_line, *lines = head.split(b"\r\n")
+        assert status_line == b"HTTP/1.1 200 OK"
+        assert [line.split(b": ")[0] for line in lines] == [b"Server", b"Date", b"Content-Type", b"Content-Length"]
+        assert body == service.predict_document("6060604052").encode()
+
+
+class TestBenchmarkHooks:
+    def test_request_id_header_reads_in_any_case_inside_do_post(self, http_service, monkeypatch):
+        # the benchmark tags each traced request by headers.get("X-Request-Id") in do_POST
+        _, port = http_service
+        seen = []
+        do_post = service_module._Handler.do_POST
+
+        def spy(handler):
+            seen.append((handler.headers.get("X-Request-Id"), handler.headers.get("x-request-id")))
+            do_post(handler)
+
+        monkeypatch.setattr(service_module._Handler, "do_POST", spy)
+        payload = json.dumps({REQUEST_FIELD: "6001"})
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+        try:
+            for name, value in (("X-Request-Id", "17"), ("x-REQUEST-id", "18")):
+                conn.request("POST", "/predict", payload, headers={name: value})
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == 200
+        finally:
+            conn.close()
+        assert seen == [("17", "17"), ("18", "18")]

@@ -172,6 +172,21 @@ class TestPersistence:
         with pytest.raises(ParseError, match="line 3: not UTF-8 text"):
             load_vocab(path)
 
+    @pytest.mark.parametrize("token", ["6A", "zz", "6", "<UNK>", "60 "])
+    def test_token_no_encode_can_reach_is_rejected(self, tmp_path, token):
+        # encode() looks up only the 257 cell tokens, so such a token would
+        # load and then silently leave its contracts' ids at <OOV>
+        path = tmp_path / "vocab.tsv"
+        path.write_text(f"<PAD>\t0\n<OOV>\t1\n60\t2\n{token}\t3\n")
+        with pytest.raises(ParseError, match=f"line 4: token {token!r}"):
+            load_vocab(path)
+
+    def test_every_cell_token_loads(self, tmp_path):
+        v = fit([[f"{b:02x}" for b in range(256)] + ["xx"]])
+        path = tmp_path / "vocab.tsv"
+        save_vocab(v, path)
+        assert load_vocab(path).token_to_id == v.token_to_id
+
     def test_missing_reserved_rejected(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_text("aa\t0\nbb\t1\n")
