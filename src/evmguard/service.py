@@ -33,25 +33,26 @@ coalesced (each runs its own row; the results are equal). At start-up the
 scan checks once that its products on 2 and 3 rows agree on the shared
 rows, the premise every cached answer is replayed on.
 
-The handler reads the request line and headers itself, off the stdlib
-server's connection loop, and sends each answer, status line, headers and
-body, in one write. Every error is a JSON {"error": ...} document. It
-answers a request it cannot frame (a bad request line, an oversized or
-malformed header, more than one Content-Length, any Transfer-Encoding, no,
-a bad or a too-large Content-Length, or a body that ends or stalls before
-it) with an error and closes the connection; a client that hangs up ends
-only its connection.
+The handler reads the request line and headers itself and sends each
+answer, status line, headers and body, in one write. Every error is a
+JSON {"error": ...} document. It answers a request it cannot frame (a bad
+request line, an oversized or malformed header, more than one
+Content-Length, any Transfer-Encoding, no, a bad or a too-large
+Content-Length, or a body that ends or stalls before it) with an error
+and closes the connection; a client that hangs up ends only its
+connection.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import socketserver
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 
 import numpy as np
 
@@ -226,185 +227,181 @@ class _Headers(dict):
         return super().get(name.lower(), default)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """The stdlib server's connection loop, with request parsing and answers of its own.
+class _Refusal(Exception):
+    """An error answer: its status, its message, and whether the connection ends after it.
 
-    parse_request reads the request line and the headers straight off the
-    socket into a _Headers, and every answer, errors from the stdlib
-    included, is one JSON document sent in one write.
+    With close False the connection ends only if the request asked for that.
     """
 
-    protocol_version = "HTTP/1.1"
+    def __init__(self, status: int, message: str, close: bool = True):
+        super().__init__(message)
+        self.status = status
+        self.close = close
+
+
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+def _http_date() -> str:
+    """The current time as an RFC 9110 IMF-fixdate, whatever the locale."""
+    t = time.gmtime()
+    return (
+        f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year:04d} "
+        f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
+    )
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: reads each request off the socket and answers it in one write.
+
+    Every answer is a JSON document; every error answer is a _Refusal,
+    raised wherever the request is refused and sent by handle() alone.
+    """
+
     # Each answer is one write, but with Nagle on, a write that follows one
     # the client has not yet acknowledged (an answer after a 100 Continue,
     # or pipelined answers) would wait for its delayed ACK, about 40 ms.
     disable_nagle_algorithm = True
     timeout = READ_TIMEOUT_S
-    _date = (None, "")  # (whole second, its Date value), shared by every connection
-
-    @property
-    def service(self) -> PredictionService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    def log_message(self, fmt, *args):  # quiet by default
-        pass
 
     def handle(self):
+        """Answer requests until one ends the connection, the client hangs up or a read stalls."""
         try:
-            super().handle()
-        except ConnectionError:  # the client hung up; there is no one to answer
-            self.close_connection = True
+            while line := self.rfile.readline(MAX_LINE_BYTES + 1):
+                self.close_connection = True  # until the head says otherwise
+                try:
+                    if len(line) > MAX_LINE_BYTES:
+                        raise _Refusal(414, "Request-URI Too Long")
+                    self._read_head(line)
+                    # looked up per request: perfbench's serve launcher rebinds do_POST
+                    answer = getattr(self, "do_" + self.command, None)
+                    if answer is None:
+                        raise _Refusal(501, f"Unsupported method ({self.command!r})")
+                    answer()
+                except _Refusal as refusal:
+                    self._send(refusal.status, json.dumps({"error": str(refusal)}), refusal.close)
+                if self.close_connection:
+                    break
+        except (ConnectionError, TimeoutError):  # no one left to answer, or a silent client
+            pass
 
-    def parse_request(self) -> bool:
-        """Read `METHOD PATH HTTP/1.x` and its headers; False after answering a refused request.
-
-        Every refusal closes the connection.
-        """
-        self.close_connection = True
-        refusal = self._read_head()
-        if refusal is not None:
-            self._send_error(*refusal, close=True)
-            return False
-        connection = self.headers.get("connection", "").lower()
-        self.close_connection = connection == "close" or (
-            self.request_version == "HTTP/1.0" and connection != "keep-alive"
-        )
-        if self.request_version == "HTTP/1.1" and self.headers.get("expect", "").lower() == "100-continue":
-            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        return True
-
-    def _read_head(self) -> tuple[int, str] | None:
-        """Split the request line and read at most MAX_HEADERS header lines into a _Headers.
-
-        Returns the status and message of a refusal, or None.
-        """
-        words = self.raw_requestline.decode("latin-1").rstrip("\r\n").split(" ")
+    def _read_head(self, line: bytes) -> None:
+        """Split the request line and read at most MAX_HEADERS header lines into a _Headers."""
+        words = line.decode("latin-1").rstrip("\r\n").split(" ")
         if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
-            return 400, "request line is not `METHOD PATH HTTP/1.0|HTTP/1.1`"
+            raise _Refusal(400, "request line is not `METHOD PATH HTTP/1.0|HTTP/1.1`")
         self.command, self.path, self.request_version = words
         self.headers = headers = _Headers()
         for count in range(MAX_HEADERS + 1):
             line = self.rfile.readline(MAX_LINE_BYTES + 1)
             if len(line) > MAX_LINE_BYTES:
-                return 431, f"header line longer than {MAX_LINE_BYTES} bytes"
+                raise _Refusal(431, f"header line longer than {MAX_LINE_BYTES} bytes")
             if line in (b"\r\n", b"\n", b""):
                 break
             if count == MAX_HEADERS:
-                return 431, f"more than {MAX_HEADERS} headers"
+                raise _Refusal(431, f"more than {MAX_HEADERS} headers")
             text = line.decode("latin-1").rstrip("\r\n")
             name, colon, value = text.partition(":")
             name = name.lower()
             if not colon or not name or name != name.strip():
-                return 400, f"malformed header line {text[:80]!r}"
+                raise _Refusal(400, f"malformed header line {text[:80]!r}")
             if name not in headers:
                 headers[name] = value.strip(" \t")
             elif name == "content-length":
-                return 400, "more than one Content-Length"
+                raise _Refusal(400, "more than one Content-Length")
             # of any other repeated header, the first value is the one read
         if "transfer-encoding" in headers:
-            return 501, "Transfer-Encoding is not supported"
-        return None
-
-    def _date_value(self) -> str:
-        now = int(time.time())
-        second, text = _Handler._date
-        if second != now:
-            text = self.date_time_string(now)
-            _Handler._date = (now, text)
-        return text
+            raise _Refusal(501, "Transfer-Encoding is not supported")
+        connection = headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            self.request_version == "HTTP/1.0" and connection != "keep-alive"
+        )
 
     def _send(self, status: int, body: str, close: bool = False) -> None:
         payload = body.encode("utf-8")
-        close = close or self.close_connection
+        self.close_connection = close = close or self.close_connection
+        if close:
+            connection = "Connection: close\r\n"
+        elif self.request_version == "HTTP/1.0":  # kept open only because it asked
+            connection = "Connection: keep-alive\r\n"
+        else:
+            connection = ""
         head = (
-            f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
-            f"Server: {self.version_string()}\r\nDate: {self._date_value()}\r\n"
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Server: evmguard\r\nDate: {_http_date()}\r\n"
             f"Content-Type: application/json\r\nContent-Length: {len(payload)}\r\n"
-            + ("Connection: close\r\n\r\n" if close else "\r\n")
+            f"{connection}\r\n"
         )
-        self.close_connection = close
         self.wfile.write(head.encode("latin-1") + payload)
 
-    def _send_error(self, status: int, message: str, close: bool = False) -> None:
-        self._send(status, json.dumps({"error": message}), close)
+    def _read_body(self) -> bytes:
+        """The request body; a refusal here ends the connection, its stream off a request boundary.
 
-    def send_error(self, code, message=None, explain=None):
-        """The stdlib's own refusals (414, 501 for an unknown method) as JSON, closing."""
-        self._send_error(code, message or self.responses[code][0], close=True)
-
-    def _read_body(self) -> bytes | None:
-        """The request body, or None after answering a request whose body cannot be read.
-
-        Every such answer closes the connection: the stream is no longer at
-        a request boundary.
+        An `Expect: 100-continue` gets its interim answer only once the body
+        is going to be read.
         """
         text = self.headers.get("Content-Length")
         if text is None:
-            self._send_error(411, "Content-Length is required", close=True)
-            return None
+            raise _Refusal(411, "Content-Length is required")
         if not (text.isascii() and text.isdigit()):
-            self._send_error(400, f"Content-Length {text!r} is not a byte count", close=True)
-            return None
+            raise _Refusal(400, f"Content-Length {text!r} is not a byte count")
         length = int(text)
         if length > MAX_BODY_BYTES:
-            self._send_error(
-                413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}", close=True
-            )
-            return None
+            raise _Refusal(413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
+        expect = self.headers.get("expect", "").lower()
+        if self.request_version == "HTTP/1.1" and expect == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         try:
             body = self.rfile.read(length)
         except TimeoutError:
-            self._send_error(408, f"request body not received within {self.timeout} s", close=True)
-            return None
+            raise _Refusal(408, f"request body not received within {self.timeout} s")
         if len(body) < length:
-            self._send_error(
-                400, f"request body ended after {len(body)} of {length} bytes", close=True
-            )
-            return None
+            raise _Refusal(400, f"request body ended after {len(body)} of {length} bytes")
         return body
 
     def do_GET(self):
         if self.path != "/config":
-            self._send_error(404, f"no such endpoint {self.path!r}")
-            return
-        self._send(200, self.service.config_document())
+            raise _Refusal(404, f"no such endpoint {self.path!r}", close=False)
+        self._send(200, self.server.service.config_document())
 
     def do_POST(self):
         if self.path != "/predict":  # its body is left unread, so the connection ends
-            self._send_error(404, f"no such endpoint {self.path!r}", close=True)
-            return
+            raise _Refusal(404, f"no such endpoint {self.path!r}")
         body = self._read_body()
-        if body is None:
-            return
         try:
             request = json.loads(body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
-            self._send_error(400, f"request body is not valid JSON: {exc}")
-            return
+            raise _Refusal(400, f"request body is not valid JSON: {exc}", close=False)
         if not isinstance(request, dict) or set(request) != {REQUEST_FIELD}:
-            self._send_error(
-                400, f"request must have exactly one field named {REQUEST_FIELD!r}"
+            raise _Refusal(
+                400, f"request must have exactly one field named {REQUEST_FIELD!r}", close=False
             )
-            return
         if not isinstance(request[REQUEST_FIELD], str):
-            self._send_error(400, f"{REQUEST_FIELD!r} must be a hex string")
-            return
+            raise _Refusal(400, f"{REQUEST_FIELD!r} must be a hex string", close=False)
         try:
-            document = self.service.predict_document(request[REQUEST_FIELD])
+            document = self.server.service.predict_document(request[REQUEST_FIELD])
         except MalformedInputError as exc:
-            self._send_error(400, str(exc))
-            return
+            raise _Refusal(400, str(exc), close=False)
         except EvmGuardError as exc:
-            self._send_error(500, str(exc))
-            return
+            raise _Refusal(500, str(exc), close=False)
         self._send(200, document)
 
 
-def make_server(service: PredictionService, host: str, port: int) -> ThreadingHTTPServer:
+class _Server(socketserver.ThreadingTCPServer):
+    """A thread per connection, each answering with _Handler; binds without a name lookup."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, address: tuple[str, int], service: PredictionService):
+        self.service = service
+        super().__init__(address, _Handler)
+
+
+def make_server(service: PredictionService, host: str, port: int) -> _Server:
     """Bound but not yet serving; call serve_forever() or run it in a thread."""
-    server = ThreadingHTTPServer((host, port), _Handler)
-    server.service = service  # type: ignore[attr-defined]
-    return server
+    return _Server((host, port), service)
 
 
 def serve(service: PredictionService, host: str = "127.0.0.1", port: int = 8000) -> None:

@@ -238,6 +238,16 @@ class TestHttp:
         first = results[0][1]
         assert all(pred == first for _, pred in results)
 
+    def test_binds_and_answers_without_a_name_lookup(self, monkeypatch):
+        # a host whose resolver hangs would hold start-up for as long
+        def no_resolver(*args):
+            raise OSError("no resolver")
+
+        monkeypatch.setattr(socket, "getfqdn", no_resolver)
+        service, _, _ = make_service()
+        with serving(service) as port:
+            assert request(port, "GET", "/config")[0] == 200
+
     def test_keep_alive_connection_has_nagle_off(self, http_service, monkeypatch):
         # An answer is one write, but with Nagle on, one that follows an
         # unacknowledged write (a 100 Continue, a pipelined answer) would
@@ -465,7 +475,7 @@ class TestHttpBodyFraming:
         _, port = http_service
         errors = []
         monkeypatch.setattr(
-            service_module.ThreadingHTTPServer, "handle_error",
+            service_module._Server, "handle_error",
             lambda server, request, address: errors.append(sys.exc_info()[1]),
         )
         payload = json.dumps({REQUEST_FIELD: "6060604052"}).encode()
@@ -691,7 +701,7 @@ def read_answers(reply):
         length = int(fields[b"content-length"])
         body, reply = reply[:length], reply[length:]
         answers.append((status, fields, json.loads(body)))
-        assert b"connection" not in fields or not reply  # nothing follows a close
+        assert fields.get(b"connection") != b"close" or not reply  # nothing follows a close
     return answers
 
 
@@ -732,7 +742,7 @@ def served_errors(http_service, monkeypatch):
     """A served model and the list every handle_error call lands in."""
     errors = []
     monkeypatch.setattr(
-        service_module.ThreadingHTTPServer, "handle_error",
+        service_module._Server, "handle_error",
         lambda server, request, address: errors.append(sys.exc_info()[1]),
     )
     return http_service[1], errors
@@ -846,13 +856,31 @@ class TestHttpRequestParsing:
         assert status == 200
         assert document == json.loads(service.predict_document("6060604052"))
 
+    @pytest.mark.parametrize("head, status", [
+        (post_head(b"Expect: 100-continue\r\nContent-Length: 200000\r\n"), 413),
+        (b"GET /config HTTP/1.1\r\nExpect: 100-continue\r\n\r\n", 200),
+        (b"POST /nope HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 24\r\n\r\n", 404),
+    ], ids=["too-large", "no-body", "unknown-path"])
+    def test_expect_100_continue_gets_no_interim_answer_for_a_body_left_unread(
+        self, http_service, head, status
+    ):
+        _, port = http_service
+        with socket.create_connection(("127.0.0.1", port), timeout=2) as sock:
+            sock.sendall(head)
+            sock.shutdown(socket.SHUT_WR)  # no body follows; the server closes after its answer
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
+        assert [answer[0] for answer in read_answers(reply)] == [status]
+
     def test_http_1_0_keeps_alive_only_when_asked(self, http_service):
         _, port = http_service
         ask = b"GET /config HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"
         default = b"GET /config HTTP/1.0\r\n\r\n"
         answers = exchange(port, ask + ask + default + ask)  # the last is never read
         assert [status for status, _, _ in answers] == [200, 200, 200]
-        assert [fields.get(b"connection") for _, fields, _ in answers] == [None, None, b"close"]
+        assert [fields.get(b"connection") for _, fields, _ in answers] == [b"keep-alive", b"keep-alive", b"close"]
 
     def test_connection_close_is_answered_with_close(self, http_service):
         _, port = http_service
