@@ -478,23 +478,25 @@ class Scanner:
 
     `admit(ids)` adds a row that starts from the zero state at the next
     step and runs exactly its own ids, up to its last nonzero one;
-    `advance()` runs one step for every row and returns (slot, probabilities)
-    for the rows whose last id that step consumed. A row's probabilities are
-    bit-identical to `forward(model, ids[None])` whatever else is in flight:
-    slot 0 is never admitted, so BLAS never gets a one-row operand, the
-    products run at _blas_width, and every other operation works row by row.
+    `advance(stop)` runs the next block of steps for every row and returns
+    (slot, probabilities) for the rows whose last id it consumed. A row's
+    probabilities are bit-identical to `forward(model, ids[None])` whatever
+    else is in flight: slot 0 is never admitted, so BLAS never gets a
+    one-row operand, the products run at _blas_width, and every other
+    operation works row by row.
 
-    Each slot holds the ids its row still has to run. The scan gathers the
-    input-projection rows of a block of steps at once, into two arrays it
-    keeps: at most _BLOCK_ROW_STEPS row-steps, and no more steps than the
-    shortest row has left, so a row can only end where a block ends. At a
-    block's end, and at an admit before it, every row drops the ids it has
-    run and the block is discarded. Each step writes into buffers sized to
-    the rows in flight and swaps its new state with the previous one, so a
-    step allocates nothing. Slot 0 and free slots run id 1 and compute
-    states nobody reads; only steps where some row holds an interior id 0
-    blend by the padding mask. Not thread-safe: one thread at a time may
-    call it.
+    Between calls the scan holds only each slot's remaining ids, the
+    states and the arrays it reuses. A call gathers the input-projection
+    rows of its block into two arrays it keeps: at most _BLOCK_ROW_STEPS
+    row-steps, and no more steps than the shortest row has left, so a row
+    can only end where a block ends. It calls `stop()` after each step and
+    ends the block early at the first true answer, so a row waiting to
+    join gets in at the next step; then every row drops the ids it has
+    run. Each step writes into buffers sized to the rows in flight and
+    swaps its new state with the previous one, so a step allocates
+    nothing. Slot 0 and free slots run id 1 and compute states nobody
+    reads; only steps where some row holds an interior id 0 blend by the
+    padding mask. Not thread-safe: one thread at a time may call it.
     """
 
     def __init__(self, model: MolModel):
@@ -503,10 +505,7 @@ class Scanner:
         self._heads = _stacked_heads(model)
         self._h = np.zeros((1, model.stem.gru_hidden), dtype=self._scan[0].dtype)
         self._rows: list[np.ndarray | None] = [None]  # per row of _h, the ids it has left
-        # (ids, z|r rows, c rows, whether the step blends) per step of the block, or None
-        self._block: tuple | None = None
-        self._k = 0  # steps of the block run so far
-        self._spare = self._bufs = None  # the step's outputs, sized to _h by _gather
+        self._spare = self._bufs = None  # the step's outputs, sized to _h by advance
         self._gathered: tuple | None = None  # z|r and c rows of the blocks, reused
 
     def admit(self, ids: np.ndarray) -> int:
@@ -517,7 +516,6 @@ class Scanner:
         span = self.model.stem.max_sequence_length
         if n > span:
             raise MalformedInputError(f"{n} ids run past max_sequence_length {span}")
-        self._drop_run_steps()
         slot = next((s for s, row in enumerate(self._rows) if s and row is None), len(self._rows))
         if slot == len(self._rows):
             self._rows.append(None)
@@ -531,11 +529,11 @@ class Scanner:
     def check_batch_invariance(self) -> None:
         """Raise ConfigError if a row of this scan's products depends on the row count.
 
-        Runs one step, as `advance` does, and the branch heads on 3 rows and
-        on their first 2 and compares those rows' bytes: gates, new state,
-        every head pre-activation and the probabilities. The bit-identity
-        above rests on this property of the BLAS build, which is measured,
-        not given.
+        Runs one GRU step, the step `advance` runs, and the branch heads on
+        3 rows and on their first 2 and compares those rows' bytes: gates,
+        new state, every head pre-activation and the probabilities. The
+        bit-identity above rests on this property of the BLAS build, which
+        is measured, not given.
         """
         rows = np.linspace(-1.0, 1.0, 3 * self._h.shape[1], dtype=self._h.dtype).reshape(3, -1)
         ids = np.arange(1, 4) % self.model.stem.vocab_size
@@ -553,14 +551,14 @@ class Scanner:
                 "for 2 and 3 rows, so a served row would depend on what else is in flight"
             )
 
-    def _drop_run_steps(self) -> None:
-        """Drop the ids the current block has run from every row and discard the block."""
-        k, self._k, self._block = self._k, 0, None
-        self._rows = [row if row is None else row[k:] for row in self._rows]
+    def advance(self, stop) -> list[tuple[int, np.ndarray]]:
+        """Run the next block, or its steps up to the first where `stop()` is true.
 
-    def _gather(self) -> None:
-        """Gather the next block's ids and input-projection rows for the rows in flight."""
+        Returns the rows it finished.
+        """
         rows = len(self._rows)
+        if rows == 1:  # only slot 0: no row in flight
+            return []
         left = min(row.size for row in self._rows if row is not None)
         n = max(1, min(_BLOCK_ROW_STEPS // rows, left))
         ids = np.ones((n, rows), dtype=np.intp)
@@ -574,29 +572,21 @@ class Scanner:
             size = max(_BLOCK_ROW_STEPS, n * rows)
             self._gathered = tuple(np.empty((size, t.shape[1]), t.dtype) for t in self._scan[:2])
         # gathered into the same two arrays every time: blocks allocated per
-        # gather would each take fresh pages in the stepping thread's arena
+        # call would each take fresh pages in the stepping thread's arena
         x_zr, x_c = (buf[: n * rows].reshape(n, rows, -1) for buf in self._gathered)
         np.take(self._scan[0], ids, axis=0, out=x_zr, mode="clip")  # ids are checked at admit
         np.take(self._scan[1], ids, axis=0, out=x_c, mode="clip")
-        self._block = (ids, x_zr, x_c, (ids == 0).any(axis=1).tolist())
-
-    def advance(self) -> list[tuple[int, np.ndarray]]:
-        """One step for every admitted row; returns the rows it finished."""
-        if self._block is None:
-            if len(self._rows) == 1:  # only slot 0: no row in flight
-                return []
-            self._gather()
-        ids, x_zr, x_c, blend = self._block
-        k = self._k
-        h_new = self._spare
-        _gru_step(x_zr[k], x_c[k], self._h, self._scan, self._bufs, h_new)
-        if blend[k]:
-            np.copyto(h_new, self._h, where=(ids[k] == 0)[:, None])
-        self._h, self._spare = h_new, self._h
-        self._k += 1
-        if self._k < len(ids):
-            return []
-        self._drop_run_steps()
+        blend = (ids == 0).any(axis=1).tolist()
+        h, h_new = self._h, self._spare
+        for k in range(n):
+            _gru_step(x_zr[k], x_c[k], h, self._scan, self._bufs, h_new)
+            if blend[k]:
+                np.copyto(h_new, h, where=(ids[k] == 0)[:, None])
+            h, h_new = h_new, h
+            if stop():
+                break
+        self._h, self._spare = h, h_new
+        self._rows = [row if row is None else row[k + 1 :] for row in self._rows]
         done = [slot for slot, row in enumerate(self._rows) if row is not None and not row.size]
         if not done:
             return []
@@ -656,8 +646,6 @@ def backward(
 
     for col, k in enumerate(selected):
         b = model.branches[k]
-        blocks = branch_block_names(b.class_name, len(b.dense_widths))
-        frozen_branch = all(name in model.frozen for name in blocks)
         probs_k = cache.probs[:, k]
         ds = ((probs_k - y[:, col]) / cells)[:, None]
         n = len(b.dense_widths)
@@ -666,11 +654,10 @@ def backward(
                 ds = ds * (cache.branch_pre[k][i] > 0)
             w_name = f"branch:{b.class_name}:w{i}"
             b_name = f"branch:{b.class_name}:b{i}"
-            if not frozen_branch:
-                if w_name not in model.frozen:
-                    grads[w_name] = cache.branch_inputs[k][i].T @ ds
-                if b_name not in model.frozen:
-                    grads[b_name] = ds.sum(axis=0)
+            if w_name not in model.frozen:
+                grads[w_name] = cache.branch_inputs[k][i].T @ ds
+            if b_name not in model.frozen:
+                grads[b_name] = ds.sum(axis=0)
             ds = ds @ p[w_name].T
         dh_final += ds
 

@@ -60,7 +60,7 @@ from .errors import EvmGuardError, MalformedInputError
 # `preprocess` names the per-request stage; it yields Opcodes
 from .evm_bytecode import opcodes as preprocess
 # `forward` stays bound here, unused, because perfbench's serve launcher wraps service.forward.
-from .mol_net import MolModel, Scanner, forward  # noqa: F401
+from .mol_net import MolModel, Scanner, forward, param_count  # noqa: F401
 from .tokenizer import Vocabulary, encode
 
 REQUEST_FIELD = "smart_contract"
@@ -135,7 +135,7 @@ class _SharedScan:
                                 request.error = exc
                                 self._cond.notify_all()
                         self._queued.clear()
-                finished = self._scanner.advance()
+                finished = self._scanner.advance(self._queued.__len__)
                 if finished:
                     with self._cond:
                         for slot, probs in finished:
@@ -179,7 +179,7 @@ class PredictionService:
             "classes": self.model.class_names,
             "max_sequence_length": self.model.stem.max_sequence_length,
             "vocab_fingerprint": self.model.vocab_fingerprint,
-            "n_parameters": int(sum(a.size for a in self.model.params.values())),
+            "n_parameters": param_count(self.model),
         }
         return json.dumps(doc)
 

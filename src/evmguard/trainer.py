@@ -98,7 +98,8 @@ def _run_loop(
 ) -> MetricsHistory:
     n_cols = len(branch_subset) if branch_subset else len(model.branches)
     for index, enc in encoded_chunks:
-        if enc.labels.shape[1] != n_cols:
+        # a chunk with no records has no label width to check and trains no step
+        if len(enc) and enc.labels.shape[1] != n_cols:
             raise ConfigError(
                 f"chunk {index} has {enc.labels.shape[1]} label columns, "
                 f"model expects {n_cols}"

@@ -41,6 +41,11 @@ def padded(tokens, width=MAX_LEN):
     return row
 
 
+def one_step():
+    """A `stop` that ends every `advance` after its first step."""
+    return True
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     hidden=st.sampled_from([3, 8, 50, 64]),
@@ -116,7 +121,7 @@ def test_scanner_rows_match_solo_forward_whatever_joins_and_leaves():
     for step in range(3 * MAX_LEN):
         for name in schedule.get(step, []):
             names[scanner.admit(rows[name])] = name
-        for slot, probs in scanner.advance():
+        for slot, probs in scanner.advance(one_step):
             results[names[slot]] = probs
             finished_at[names[slot]] = step
     assert set(results) == set(rows)
@@ -141,22 +146,39 @@ def memory_model(span):
     return model
 
 
-def run_schedule(scanner, admits):
-    """Admit each (step, ids) before that step's advance and step until every row is back.
+def run_schedule(scanner, admits, whole_blocks=False):
+    """Admit each (step, ids) before that step and step until every row is back.
 
-    Returns per row (slot, the step whose advance returned it, probabilities).
+    Each `advance` runs one step, or with `whole_blocks` its whole block
+    unless a row is due to be admitted before the next step. Counts the
+    steps by the calls to `stop`; a call with no row in flight idles one
+    step. Returns per row (slot, the step that finished it, probabilities)
+    and the steps at which a call ran a block.
     """
     out = [None] * len(admits)
-    in_flight = {}
-    horizon = max(at for at, _ in admits) + max(ids.size for _, ids in admits) + 1
-    for step in range(horizon):
+    in_flight, starts = {}, []
+    due = {at for at, _ in admits}
+    horizon = max(due) + max(ids.size for _, ids in admits) + 1
+    step = 0
+
+    def stop():
+        nonlocal step
+        step += 1
+        return not whole_blocks or step in due
+
+    while step < horizon:
         for i, (at, ids) in enumerate(admits):
             if at == step:
                 in_flight[scanner.admit(ids)] = i
-        for slot, probs in scanner.advance():
-            out[in_flight.pop(slot)] = (slot, step, probs)
-    assert not in_flight and scanner.advance() == []
-    return out
+        start = step
+        for slot, probs in scanner.advance(stop):
+            out[in_flight.pop(slot)] = (slot, step - 1, probs)
+        if step == start:
+            step += 1
+        else:
+            starts.append(start)
+    assert not in_flight and scanner.advance(stop) == []
+    return out, starts
 
 
 def assert_rows_match_solo(model, admits, out):
@@ -168,9 +190,9 @@ def assert_rows_match_solo(model, admits, out):
         assert probs.tobytes() == solo(model, ids).tobytes(), (at, n)
 
 
-def test_scanner_rows_match_solo_forward_across_block_edges(monkeypatch):
+def test_scanner_rows_match_solo_forward_across_block_edges():
     # A block runs at most _BLOCK_ROW_STEPS // rows steps and no more steps
-    # than the shortest row has left, and an admit ends the block in use.
+    # than the shortest row has left, and a row due to join ends it early.
     # Admits land on a block's last step (b), on the next block's first
     # step (c) and in the middle of blocks (d, e); b's interior zeros sit
     # on both sides of two block edges and d's on a block's first step.
@@ -185,20 +207,6 @@ def test_scanner_rows_match_solo_forward_across_block_edges(monkeypatch):
         ids[list(zeros_at)] = 0
         return ids
 
-    advances, gathered_at = 0, []
-    advance, gather = Scanner.advance, Scanner._gather
-
-    def counted_advance(scanner):
-        nonlocal advances
-        advances += 1
-        return advance(scanner)
-
-    def recorded_gather(scanner):
-        gathered_at.append(advances - 1)
-        gather(scanner)
-
-    monkeypatch.setattr(Scanner, "advance", counted_advance)
-    monkeypatch.setattr(Scanner, "_gather", recorded_gather)
     admits = [
         (0, row(700)),  # a: slots 0 and 1, blocks of 512 steps
         (511, row(600, zeros_at=(188, 189, 338, 339))),  # b: slot 2, the rows grow to 3
@@ -206,8 +214,8 @@ def test_scanner_rows_match_solo_forward_across_block_edges(monkeypatch):
         (750, row(200, zeros_at=(0, 5))),  # d: slot 3, the rows grow to 4
         (850, row(150)),  # e: c's freed slot
     ]
-    out = run_schedule(Scanner(model), admits)
-    assert gathered_at == [0, 511, 700, 750, 800, 850, 950, 1000]
+    out, starts = run_schedule(Scanner(model), admits, whole_blocks=True)
+    assert starts == [0, 511, 700, 750, 800, 850, 950, 1000]
     assert [slot for slot, _, _ in out] == [1, 2, 1, 3, 1]
     assert_rows_match_solo(model, admits, out)
 
@@ -220,7 +228,7 @@ def test_scanner_with_more_rows_than_a_block_holds(monkeypatch):
     rows = [padded(rng.integers(0, 12, k)) for k in (3, 9, 1, 17, 24, 6, 2)]
     # the one-token row leaves after step 0 and its slot is taken again
     admits = [(0 if k < 3 else 1, row) for k, row in enumerate(rows)]
-    out = run_schedule(Scanner(model), admits)
+    out, _ = run_schedule(Scanner(model), admits)
     assert [slot for slot, _, _ in out] == [1, 2, 3, 3, 4, 5, 6]
     assert_rows_match_solo(model, admits, out)
 
@@ -252,8 +260,9 @@ def test_scanner_schedules_match_solo_forward(budget, rows):
         admits.append((at, ids))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mol_net, "_BLOCK_ROW_STEPS", budget)
-        out = run_schedule(Scanner(model), admits)
-    assert_rows_match_solo(model, admits, out)
+        for whole_blocks in (False, True):
+            out, _ = run_schedule(Scanner(model), admits, whole_blocks)
+            assert_rows_match_solo(model, admits, out)
 
 
 def test_scanner_reuses_slots_and_grows():
@@ -264,9 +273,9 @@ def test_scanner_reuses_slots_and_grows():
     assert sorted(slots) == [1, 2, 3, 4, 5]  # slot 0 is never handed out
     done = {}
     for _ in range(max(map(np.count_nonzero, rows)) + 1):  # a row of n ids ends by step n
-        done.update(scanner.advance())
+        done.update(scanner.advance(one_step))
     assert sorted(done) == sorted(slots)
-    assert scanner.advance() == []
+    assert scanner.advance(one_step) == []
     assert scanner.admit(rows[0]) == 1
     for slot, row in zip(slots, rows):
         assert done[slot].tobytes() == solo(model, row).tobytes()
@@ -281,4 +290,45 @@ def test_scanner_rejects_bad_rows(ids):
     scanner = Scanner(make_model())
     with pytest.raises(MalformedInputError):
         scanner.admit(ids)
-    assert scanner.advance() == []
+    assert scanner.advance(one_step) == []
+
+
+def test_advance_calls_stop_once_per_step_and_returns_after_the_first_true():
+    model = make_model()
+    scanner = Scanner(model)
+    row = padded(np.arange(20) % 11 + 1)
+    slot = scanner.admit(row)
+    calls = 0
+
+    def stop():
+        nonlocal calls
+        calls += 1
+        return calls == 3
+
+    assert scanner.advance(stop) == [] and calls == 3
+    done = scanner.advance(stop)  # the row's 17 steps left, `stop` false from here
+    assert calls == 20 and [s for s, _ in done] == [slot]
+    assert done[0][1].tobytes() == solo(model, row).tobytes()
+
+
+def test_advance_with_a_stop_never_true_runs_one_block(monkeypatch):
+    monkeypatch.setattr(mol_net, "_BLOCK_ROW_STEPS", 18)  # 6 steps of 3 rows
+    model = make_model()
+    scanner = Scanner(model)
+    rows = [padded(np.arange(n) % 11 + 1) for n in (20, 9)]
+    slots = [scanner.admit(r) for r in rows]
+    steps, done = 0, {}
+
+    def never():
+        nonlocal steps
+        steps += 1
+        return False
+
+    # a block ends where the short row's ids do; alone, the long row runs
+    # blocks of 9 steps, then its last 2
+    for block_end, finished in [(6, []), (9, [slots[1]]), (18, []), (20, [slots[0]])]:
+        out = scanner.advance(never)
+        assert steps == block_end and [s for s, _ in out] == finished
+        done.update(out)
+    for slot, row in zip(slots, rows):
+        assert done[slot].tobytes() == solo(model, row).tobytes()

@@ -302,9 +302,9 @@ class TestSharedScan:
         seen = set()
         advance = mol_net.Scanner.advance
 
-        def spy(scanner):
+        def spy(scanner, stop):
             seen.add(threading.get_ident())
-            return advance(scanner)
+            return advance(scanner, stop)
 
         monkeypatch.setattr(mol_net.Scanner, "advance", spy)
         before = threading.active_count()

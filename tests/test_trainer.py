@@ -159,6 +159,30 @@ class TestDeterminism:
             outs.append(model.params["embedding"].copy())
         assert not np.array_equal(outs[0], outs[1])
 
+    @pytest.mark.parametrize("transfer", [False, True])
+    def test_a_chunk_with_no_records_trains_no_step(self, transfer):
+        # a header-only chunk file reads as a chunk with no records
+        runs, steps = [], []
+        for empty in (False, True):
+            model, chunks, vocab = small_setup(sizes=(24, 16), seed=3)
+            if transfer:
+                train(model, chunks, vocab, TrainConfig(seed=3))
+                chunks = make_chunks((24, 16), n_classes=1, seed=53)
+            if empty:
+                chunks.insert(1, Chunk(index=len(chunks), records=()))
+            config = TrainConfig(global_epochs=2, batch_size=8, seed=3)
+            if transfer:
+                hist = transfer_train(
+                    model, chunks, [BranchConfig("fresh", (3, 1))], vocab, config
+                )
+            else:
+                hist = train(model, chunks, vocab, config)
+            runs.append({k: v.copy() for k, v in model.params.items()})
+            steps.append(hist.optimizer_steps)
+        assert steps[0] == steps[1]
+        for k in runs[0]:
+            assert runs[0][k].tobytes() == runs[1][k].tobytes(), k
+
 
 class TestTrainErrors:
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-3])
