@@ -222,6 +222,24 @@ def _train_config(args) -> trainer.TrainConfig:
     )
 
 
+def _train_and_save(args, config, model, vocab, chunks, catalog, new_branches=None):
+    """`trainer.train`, or `transfer_train` given new branches; writes the model and history."""
+    validation = None
+    if args.val:
+        records = corpus.read_chunk(args.val, catalog).records
+        validation = trainer.encode_records(records, vocab, model.stem.max_sequence_length)
+    if new_branches is None:
+        history = trainer.train(model, chunks, vocab, config, validation)
+    else:
+        history = trainer.transfer_train(
+            model, chunks, new_branches, vocab, config, validation
+        )
+    mol_net.save_model(model, args.out_model)
+    if args.history:
+        trainer.write_history_csv(history, args.history)
+    return history
+
+
 def _cmd_train(args) -> int:
     config = _train_config(args)
     chunks, catalog = _read_chunks_dir(args.chunks_dir)
@@ -236,15 +254,8 @@ def _cmd_train(args) -> int:
     model = mol_net.init_model(
         stem, [mol_net.BranchConfig(n) for n in catalog.names], seed=args.seed
     )
-    validation = None
-    if args.val:
-        val_chunk = corpus.read_chunk(args.val, catalog)
-        validation = trainer.encode_records(val_chunk.records, vocab, args.max_seq_len)
-    history = trainer.train(model, chunks, vocab, config, validation)
-    mol_net.save_model(model, args.out_model)
+    history = _train_and_save(args, config, model, vocab, chunks, catalog)
     tokenizer.save_vocab(vocab, args.out_vocab)
-    if args.history:
-        trainer.write_history_csv(history, args.history)
     last = history.entries[-1]
     line = f"trained {history.optimizer_steps} steps, final loss {last.train_loss:.4f}"
     if last.validation is not None:
@@ -258,18 +269,7 @@ def _cmd_transfer(args) -> int:
     model, vocab = _load_model_and_vocab(args.model, args.vocab)
     chunks, new_catalog = _read_chunks_dir(args.chunks_dir)
     configs = [mol_net.BranchConfig(n) for n in new_catalog.names]
-    validation = None
-    if args.val:
-        val_chunk = corpus.read_chunk(args.val, new_catalog)
-        validation = trainer.encode_records(
-            val_chunk.records, vocab, model.stem.max_sequence_length
-        )
-    history = trainer.transfer_train(
-        model, chunks, configs, vocab, config, validation
-    )
-    mol_net.save_model(model, args.out_model)
-    if args.history:
-        trainer.write_history_csv(history, args.history)
+    history = _train_and_save(args, config, model, vocab, chunks, new_catalog, configs)
     print(
         f"added {len(configs)} branches, trained {history.optimizer_steps} steps, "
         f"final loss {history.entries[-1].train_loss:.4f}"

@@ -23,7 +23,7 @@ from .errors import (
     ShortageError,
     not_utf8,
 )
-from .evm_bytecode import Opcodes, parse_cell, render
+from .evm_bytecode import MAX_CODE_BYTES, Opcodes, parse_cell, render
 
 DEFAULT_CLASS_NAMES = (
     "CALLSTACK",
@@ -39,11 +39,11 @@ DEFAULT_CLASS_NAMES = (
 DEFAULT_CHUNK_SIZE = 1024
 
 # Characters in a chunk CSV's bytecode field: the rendering of the largest
-# code the EVM accepts (EIP-3860 initcode, 49,152 bytes, so at most 49,152
-# two-character tokens and their separators). Readers accept fields this
-# long, above csv's default limit of 131,072; write_chunk refuses longer.
-# csv's limit is process-wide, so it is raised once, here, and never lowered.
-MAX_FIELD_CHARS = 3 * 49_152
+# code the EVM accepts (at most MAX_CODE_BYTES two-character tokens and their
+# separators). Readers accept fields this long, above csv's default limit
+# of 131,072; write_chunk refuses longer. csv's limit is process-wide, so
+# it is raised once, here, and never lowered.
+MAX_FIELD_CHARS = 3 * MAX_CODE_BYTES
 csv.field_size_limit(max(csv.field_size_limit(), MAX_FIELD_CHARS))
 
 

@@ -24,7 +24,7 @@ class CoverageError(EvmGuardError):
 
 
 class ShortageError(EvmGuardError):
-    """Not enough records to satisfy a balancing request."""
+    """Not enough records for a balancing request or a training run."""
 
 
 class ConfigError(EvmGuardError):

@@ -37,6 +37,10 @@ from .errors import MalformedInputError, ParseError
 INVALID_TOKEN = "xx"
 INVALID_CODE = 256
 
+# Bytes in the largest code the EVM accepts (EIP-3860 initcode). A byte
+# normalizes to at most one token, so no contract has more tokens.
+MAX_CODE_BYTES = 49_152
+
 _HEX_DIGITS = set("0123456789abcdefABCDEF")
 _HEX_BODY = re.compile("[0-9a-fA-F]*")
 

@@ -50,11 +50,13 @@ import numpy as np
 
 from .errors import ConfigError, LoadError, MalformedInputError, UsageError
 from .metrics import PROB_EPS, mean_bce
-from .tokenizer import DEFAULT_MAX_SEQUENCE_LENGTH
+from .tokenizer import DEFAULT_MAX_SEQUENCE_LENGTH, check_sequence_length
 
 DEFAULT_GRU_HIDDEN = 64
 DEFAULT_DROPOUT = 0.2
 DEFAULT_DENSE_WIDTHS = (128, 64, 1)
+# The widest embedding, GRU state or dense layer: a (MAX_WIDTH, MAX_WIDTH) block is 64 MB.
+MAX_WIDTH = 4096
 
 _MAGIC = b"EVMG"
 _VERSION = 1
@@ -80,12 +82,11 @@ class StemConfig:
     def __post_init__(self):
         if self.vocab_size < 2:
             raise ConfigError("vocab_size must cover padding and OOV ids")
-        if self.embedding_dim < 1 or self.gru_hidden < 1:
-            raise ConfigError("embedding_dim and gru_hidden must be >= 1")
+        if not (1 <= self.embedding_dim <= MAX_WIDTH and 1 <= self.gru_hidden <= MAX_WIDTH):
+            raise ConfigError(f"embedding_dim and gru_hidden must be in [1, {MAX_WIDTH}]")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
-        if self.max_sequence_length < 1:
-            raise ConfigError("max_sequence_length must be >= 1")
+        check_sequence_length(self.max_sequence_length)
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,8 @@ class BranchConfig:
     def __post_init__(self):
         if not self.dense_widths or self.dense_widths[-1] != 1:
             raise ConfigError("branch must end in a single-neuron head")
-        if any(w < 1 for w in self.dense_widths):
-            raise ConfigError("dense widths must be >= 1")
+        if not all(1 <= w <= MAX_WIDTH for w in self.dense_widths):
+            raise ConfigError(f"dense widths must be in [1, {MAX_WIDTH}]")
 
 
 # Stem sized so its parameter count is exactly 16,000: with six default

@@ -1,9 +1,12 @@
 """Chunked training with local/global epochs, transfer learning, evaluation.
 
-The loop nesting is fixed: global epochs on the outside, then chunks in
-their stored order, then local epochs, then contiguous mini-batches (the
-short final batch is trained too). Everything is seeded, so two runs with
-the same inputs produce bit-identical parameter trajectories.
+`train` and `transfer_train` share one loop. It checks everything it can
+refuse before it changes the model. Then it runs global epochs on the
+outside, then the chunks that hold records in their stored order, then
+local epochs, then contiguous mini-batches (the short final batch is
+trained too), so every history row's loss was measured. Everything is
+seeded, so two runs with the same inputs produce bit-identical parameter
+trajectories.
 """
 
 from __future__ import annotations
@@ -91,33 +94,51 @@ def _batches(n: int, batch_size: int):
 
 def _run_loop(
     model: MolModel,
-    encoded_chunks: list[tuple[int, EncodedSet]],
+    chunks: list[Chunk],
+    vocab: Vocabulary,
     config: TrainConfig,
-    branch_subset: list[str] | None,
     validation: EncodedSet | None,
+    new_branches: list[mol_net.BranchConfig] | None,
 ) -> MetricsHistory:
-    n_cols = len(branch_subset) if branch_subset else len(model.branches)
-    for index, enc in encoded_chunks:
-        # a chunk with no records has no label width to check and trains no step
-        if len(enc) and enc.labels.shape[1] != n_cols:
+    """`train` (new_branches None) and `transfer_train`: every refusal comes before any change."""
+    encoded = [
+        (c.index, encode_records(c.records, vocab, model.stem.max_sequence_length))
+        for c in chunks
+        if c.records
+    ]
+    if new_branches is None:
+        names, trainable = model.class_names, model.trainable_blocks()
+    else:
+        names = trainable = [b.class_name for b in new_branches]
+        if len({*names, *model.class_names}) < len(names) + len(model.class_names):
+            raise ConfigError(f"new branch names {names!r} must be unique and not in the model")
+    for what, enc in [(f"chunk {i}", e) for i, e in encoded] + [("validation", validation)]:
+        # None and an empty validation set are falsy: no labels to check or evaluate
+        if enc and enc.labels.shape[1] != len(names):
             raise ConfigError(
-                f"chunk {index} has {enc.labels.shape[1]} label columns, "
-                f"model expects {n_cols}"
+                f"{what} has {enc.labels.shape[1]} label columns, "
+                f"model expects {len(names)}"
             )
-    if not model.trainable_blocks():
-        raise ConfigError("every parameter block is frozen; nothing to train")
+    if not encoded:
+        raise ShortageError("no chunk holds a record; nothing to train on")
+    if not trainable:
+        raise ConfigError("no unfrozen parameter block; nothing to train")
 
+    if new_branches is None:
+        model.vocab_fingerprint = vocab.fingerprint()
+    else:
+        model.set_stem_frozen(True)
+        for name in model.class_names:
+            model.set_branch_frozen(name, True)
+        for i, bc in enumerate(new_branches):
+            mol_net.add_branch(model, bc, seed=config.seed + 1 + i)
+    cols = [model.class_names.index(n) for n in names]
     history = MetricsHistory()
     state = AdamState()
     start = time.perf_counter()
-    n_chunks = len(encoded_chunks)
-    subset_cols = (
-        [model.class_names.index(n) for n in branch_subset] if branch_subset else None
-    )
-    step = 0
     for g in range(1, config.global_epochs + 1):
         epoch_losses: list[float] = []
-        for index, enc in encoded_chunks:
+        for index, enc in encoded:
             for loc in range(1, config.local_epochs + 1):
                 losses = []
                 for lo, hi in _batches(len(enc), config.batch_size):
@@ -125,51 +146,27 @@ def _run_loop(
                         model,
                         enc.ids[lo:hi],
                         mode="train",
-                        seed=config.seed + step,
+                        seed=config.seed + state.step,
                         keep_cache=True,
                     )
                     y = enc.labels[lo:hi]
-                    if subset_cols is None:
-                        losses.append(mol_net.bce_loss(y, probs))
-                    else:
-                        losses.append(mol_net.bce_loss(y, probs[:, subset_cols]))
-                    grads = mol_net.backward(model, cache, y, branch_subset)
+                    losses.append(mol_net.bce_loss(y, probs[:, cols]))
+                    grads = mol_net.backward(model, cache, y, names)
                     mol_net.adam_step(model, grads, state, config.learning_rate)
-                    step += 1
                 epoch_losses.extend(losses)
-                report = _maybe_eval(model, validation, config, branch_subset)
-                history.entries.append(
-                    HistoryEntry(
-                        global_epoch=g,
-                        local_epoch=loc,
-                        chunk_index=index,
-                        train_loss=float(np.mean(losses)) if losses else 0.0,
-                        validation=report,
-                        wall_seconds=time.perf_counter() - start,
-                    )
-                )
+                report = None
+                if validation:
+                    report = evaluate(model, validation, config.threshold, names)
+                history.entries.append(HistoryEntry(
+                    g, loc, index, float(np.mean(losses)), report, time.perf_counter() - start
+                ))
         # The summary row reuses the last local epoch's report: the model has
-        # not changed since. With no chunks nothing was evaluated yet.
-        if not encoded_chunks:
-            report = _maybe_eval(model, validation, config, branch_subset)
-        history.entries.append(
-            HistoryEntry(
-                global_epoch=g,
-                local_epoch=0,
-                chunk_index=n_chunks,
-                train_loss=float(np.mean(epoch_losses)) if epoch_losses else 0.0,
-                validation=report,
-                wall_seconds=time.perf_counter() - start,
-            )
-        )
+        # not changed since.
+        history.entries.append(HistoryEntry(
+            g, 0, len(chunks), float(np.mean(epoch_losses)), report, time.perf_counter() - start
+        ))
     history.optimizer_steps = state.step
     return history
-
-
-def _maybe_eval(model, validation, config, branch_subset):
-    if validation is None or len(validation) == 0:
-        return None
-    return evaluate(model, validation, config.threshold, branch_subset)
 
 
 def train(
@@ -180,12 +177,7 @@ def train(
     validation: EncodedSet | None = None,
 ) -> MetricsHistory:
     """Train every unfrozen block on chunk label columns matching branch order."""
-    encoded = [
-        (c.index, encode_records(c.records, vocab, model.stem.max_sequence_length))
-        for c in chunks
-    ]
-    model.vocab_fingerprint = vocab.fingerprint()
-    return _run_loop(model, encoded, config, None, validation)
+    return _run_loop(model, chunks, vocab, config, validation, None)
 
 
 def transfer_train(
@@ -201,20 +193,10 @@ def transfer_train(
     New branches are appended (seeded from config.seed), then the stem and
     every pre-existing branch are frozen, and only the new branches train.
     The new chunks' label columns are exactly the new classes, in the
-    order given. Old-branch outputs are bit-identical afterwards.
+    order given. Old-branch outputs are bit-identical afterwards. A
+    refused call leaves the model as it was.
     """
-    existing = list(model.class_names)
-    for i, bc in enumerate(new_branch_configs):
-        mol_net.add_branch(model, bc, seed=config.seed + 1 + i)
-    model.set_stem_frozen(True)
-    for name in existing:
-        model.set_branch_frozen(name, True)
-    new_names = [bc.class_name for bc in new_branch_configs]
-    encoded = [
-        (c.index, encode_records(c.records, vocab, model.stem.max_sequence_length))
-        for c in new_chunks
-    ]
-    return _run_loop(model, encoded, config, new_names, validation)
+    return _run_loop(model, new_chunks, vocab, config, validation, list(new_branch_configs))
 
 
 def evaluate(

@@ -319,6 +319,36 @@ class TestErrors:
         assert "no chunk_" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "transfer"])
+    def test_chunks_dir_without_a_record_exits_1(self, trained, capsys, command):
+        # header-only chunk files: for transfer they name a class the model lacks
+        names = DEFAULT_CLASS_NAMES[:2] if command == "train" else DEFAULT_CLASS_NAMES[2:3]
+        empty = trained["tmp"] / "empty"
+        empty.mkdir()
+        for i in range(2):
+            (empty / f"chunk_000{i}.csv").write_text(",".join(["address", "bytecode", *names]) + "\n")
+        argv = [command, "--chunks-dir", empty, "--out-model", trained["tmp"] / "none.bin"]
+        if command == "train":
+            argv += ["--out-vocab", trained["tmp"] / "none.tsv"]
+        else:
+            argv += ["--model", trained["model"], "--vocab", trained["vocab"]]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: no chunk holds a record; nothing to train on\n"
+        assert not (trained["tmp"] / "none.bin").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--embedding-dim", 2**62), ("--gru-hidden", 4097), ("--max-seq-len", 49_153)],
+    )
+    def test_size_above_its_ceiling_exits_1(self, trained, capsys, flag, value):
+        out = trained["tmp"] / "huge.bin"
+        argv = ["train", "--chunks-dir", trained["chunks_dir"], "--out-model", out,
+                "--out-vocab", trained["tmp"] / "huge.tsv", flag, value]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be in [1, " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "transfer"])
     def test_nan_learning_rate_exits_1(self, trained, capsys, command):
         argv = [command, "--chunks-dir", trained["chunks_dir"], "--lr", "nan",
                 "--out-model", trained["tmp"] / "nan.bin"]

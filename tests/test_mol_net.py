@@ -1,5 +1,6 @@
 """Model structure, forward semantics, Adam, freezing, serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evmguard.errors import ConfigError, LoadError, MalformedInputError, UsageError
-from evmguard.tokenizer import encode, fit
+from evmguard.tokenizer import SEQUENCE_LENGTH_CEILING, encode, fit
 from evmguard.mol_net import (
+    MAX_WIDTH,
     REFERENCE_STEM,
     AdamState,
     BranchConfig,
@@ -123,6 +125,32 @@ class TestInit:
     def test_branch_must_end_in_one_neuron(self):
         with pytest.raises(ConfigError):
             BranchConfig("a", (8, 2))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("embedding_dim", MAX_WIDTH + 1),
+            ("embedding_dim", 2**62),
+            ("gru_hidden", MAX_WIDTH + 1),
+            ("max_sequence_length", SEQUENCE_LENGTH_CEILING + 1),
+            ("max_sequence_length", 2**62),
+        ],
+    )
+    def test_stem_size_above_its_ceiling_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            dataclasses.replace(SMALL_STEM, **{field: value})
+
+    @pytest.mark.parametrize("width", [MAX_WIDTH + 1, 2**62])
+    def test_dense_width_above_the_ceiling_rejected(self, width):
+        with pytest.raises(ConfigError, match="dense widths"):
+            BranchConfig("a", (width, 1))
+
+    def test_sizes_at_their_ceiling_accepted(self):
+        dataclasses.replace(
+            SMALL_STEM, embedding_dim=MAX_WIDTH, gru_hidden=MAX_WIDTH,
+            max_sequence_length=SEQUENCE_LENGTH_CEILING,
+        )
+        BranchConfig("a", (MAX_WIDTH, 1))
 
 
 class TestForward:
@@ -381,6 +409,7 @@ class TestMalformedHeader:
             lambda h: h.update(blocks=h["blocks"][::-1]),
             lambda h: h["blocks"][1].update(shape=[6, 4]),
             lambda h: h["stem"].update(max_sequence_length=12.0),
+            lambda h: h["stem"].update(max_sequence_length=2**62),
             lambda h: h["stem"].update(vocab_size=11),
             lambda h: h["stem"].update(dropout_rate=1.5),
             lambda h: h["branches"][0].update(dense_widths=[5, 2]),
@@ -393,7 +422,8 @@ class TestMalformedHeader:
         ],
         ids=[
             "unknown_stem_key", "renamed_block", "missing_frozen", "blocks_not_a_list",
-            "blocks_reordered", "block_shape", "float_length", "vocab_size_vs_blocks",
+            "blocks_reordered", "block_shape", "float_length", "length_above_ceiling",
+            "vocab_size_vs_blocks",
             "dropout_out_of_range", "branch_without_single_head", "duplicate_branch",
             "frozen_unknown_block", "frozen_not_a_list", "fingerprint_not_a_string",
             "stem_not_an_object", "branch_not_an_object",
@@ -441,6 +471,60 @@ def test_any_byte_mutation_loads_a_working_model_or_raises_load_error(tmp_path_f
     probs = forward(loaded, ids[None] % loaded.stem.vocab_size)
     assert probs.shape == (1, len(loaded.branches))
     assert loaded.frozen <= set(loaded.params)
+
+
+def declared_blocks(header):
+    """The blocks, in order, that a header's stem and branches declare."""
+    stem = header["stem"]
+    d, h = stem["embedding_dim"], stem["gru_hidden"]
+    shapes = [("embedding", [stem["vocab_size"], d])]
+    for g in "zrc":
+        shapes += [(f"gru/w{g}", [d, h]), (f"gru/u{g}", [h, h]), (f"gru/b{g}", [h])]
+    for b in header["branches"]:
+        fan_in = h
+        for i, width in enumerate(b["dense_widths"]):
+            name = f"branch:{b['class_name']}"
+            shapes += [(f"{name}:w{i}", [fan_in, width]), (f"{name}:b{i}", [width])]
+            fan_in = width
+    return [{"name": n, "shape": s} for n, s in shapes]
+
+
+HEADER_INTS = ("vocab_size", "embedding_dim", "gru_hidden", "max_sequence_length", "dense_width")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from(HEADER_INTS),
+    value=st.one_of(
+        st.integers(-3, 8),
+        st.sampled_from([MAX_WIDTH, MAX_WIDTH + 1, SEQUENCE_LENGTH_CEILING,
+                         SEQUENCE_LENGTH_CEILING + 1, 2**62, 2**64]),
+        st.integers(-(2**70), 2**70),
+    ),
+    match_blocks=st.booleans(),
+)
+def test_any_header_size_loads_a_working_model_or_raises_load_error(
+    tmp_path_factory, field, value, match_blocks
+):
+    path = tmp_path_factory.mktemp("sizes") / "model.bin"
+    save_model(init_model(TINY_STEM, [BranchConfig("a", (2, 1))], seed=0), path)
+
+    def edit(header):
+        assert declared_blocks(header) == header["blocks"]
+        if field == "dense_width":
+            header["branches"][0]["dense_widths"][0] = value
+        else:
+            header["stem"][field] = value
+        if match_blocks:
+            header["blocks"] = declared_blocks(header)
+
+    rewrite_header(path, edit)
+    try:
+        loaded = load_model(path)
+    except LoadError:
+        return
+    ids = encode(["60", "01"], fit([["60", "01"]]), loaded.stem.max_sequence_length).ids
+    assert forward(loaded, ids[None] % loaded.stem.vocab_size).shape == (1, 1)
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evmguard.corpus import ContractRecord
+from evmguard.corpus import MAX_FIELD_CHARS, ContractRecord
 from evmguard.errors import ConfigError, EvmGuardError, MalformedInputError, ParseError
+from evmguard.evm_bytecode import MAX_CODE_BYTES
 from evmguard.tokenizer import (
     OOV_ID,
     PAD_ID,
+    SEQUENCE_LENGTH_CEILING,
     Vocabulary,
     encode,
     encode_batch,
@@ -79,6 +81,23 @@ class TestEncode:
         for sequences in ([], [["aa"]]):
             with pytest.raises(ConfigError):
                 encode_batch(sequences, self.vocab, max_len)
+
+    @pytest.mark.parametrize("max_len", [SEQUENCE_LENGTH_CEILING + 1, 2**62])
+    def test_length_above_the_ceiling_is_a_config_error(self, max_len):
+        with pytest.raises(ConfigError):
+            encode(["aa"], self.vocab, max_len)
+        for sequences in ([], [["aa"]]):
+            with pytest.raises(ConfigError):
+                encode_batch(sequences, self.vocab, max_len)
+
+    def test_ceiling_is_the_largest_code_the_evm_accepts(self):
+        # EIP-3860 initcode: 49,152 bytes, at most one token each
+        assert SEQUENCE_LENGTH_CEILING == MAX_CODE_BYTES == 49_152
+        assert MAX_FIELD_CHARS == 3 * MAX_CODE_BYTES
+        longest = ["aa"] * (SEQUENCE_LENGTH_CEILING + 1)
+        mat = encode_batch([longest], self.vocab, SEQUENCE_LENGTH_CEILING)
+        assert mat.shape == (1, SEQUENCE_LENGTH_CEILING)
+        assert (mat == 2).all()
 
     def test_batch_shape(self):
         mat = encode_batch([["aa"], ["bb", "cc"]], self.vocab, 4)

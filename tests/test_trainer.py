@@ -1,9 +1,11 @@
 """Training loop mechanics: step counts, history, transfer, evaluation."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evmguard import mol_net, trainer
 from evmguard.corpus import Chunk, ContractRecord
@@ -203,6 +205,104 @@ class TestTrainErrors:
             model.set_branch_frozen(n, True)
         with pytest.raises(ConfigError):
             train(model, chunks, vocab, TrainConfig(seed=0))
+
+
+def snapshot(model):
+    """Everything a refused call must leave as it was."""
+    return (
+        [(name, block.tobytes()) for name, block in model.params.items()],
+        list(model.branches),
+        set(model.frozen),
+        model.vocab_fingerprint,
+    )
+
+
+class TestRefusalsChangeNothing:
+    @pytest.mark.parametrize(
+        "n_cols, names, val_cols, sizes, error",
+        [
+            (3, ["fresh"], None, (8,), ConfigError),  # chunk label width
+            (1, ["fresh"], 3, (8,), ConfigError),  # validation label width
+            (2, ["fresh", "other", "fresh"], None, (8,), ConfigError),
+            (2, ["fresh", "k0"], None, (8,), ConfigError),
+            (0, [], None, (8,), ConfigError),
+            (1, ["fresh"], None, (0, 0), ShortageError),
+        ],
+        ids=["chunk_width", "validation_width", "repeated_name", "taken_name",
+             "no_new_branch", "no_records"],
+    )
+    def test_transfer(self, n_cols, names, val_cols, sizes, error):
+        model, chunks, vocab = small_setup()
+        train(model, chunks, vocab, TrainConfig(seed=0))
+        before = snapshot(model)
+        validation = None
+        if val_cols:
+            validation = encode_records(make_records(4, val_cols, seed=9), vocab, 8)
+        with pytest.raises(error):
+            transfer_train(
+                model, make_chunks(sizes, n_classes=n_cols, seed=50),
+                [BranchConfig(n, (3, 1)) for n in names], vocab, TrainConfig(seed=1),
+                validation,
+            )
+        assert snapshot(model) == before
+
+    @pytest.mark.parametrize(
+        "n_cols, val_cols, sizes, freeze, error",
+        [
+            (2, 3, (8,), False, ConfigError),  # validation label width
+            (3, None, (8,), False, ConfigError),  # chunk label width
+            (2, None, (8,), True, ConfigError),  # every block frozen
+            (2, 2, (0, 0), False, ShortageError),
+            (2, None, (), False, ShortageError),
+        ],
+        ids=["validation_width", "chunk_width", "all_frozen", "no_records", "no_chunks"],
+    )
+    def test_train(self, n_cols, val_cols, sizes, freeze, error):
+        model, _, vocab = small_setup()
+        if freeze:
+            model.frozen.update(model.params)
+        before = snapshot(model)
+        validation = None
+        if val_cols:
+            validation = encode_records(make_records(4, val_cols, seed=9), vocab, 8)
+        with pytest.raises(error):
+            train(model, make_chunks(sizes, n_classes=n_cols), vocab, TrainConfig(seed=0),
+                  validation)
+        assert snapshot(model) == before
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 12), min_size=1, max_size=4).filter(any),
+    global_epochs=st.integers(1, 3),
+    local_epochs=st.integers(1, 3),
+    validate=st.booleans(),
+    transfer=st.booleans(),
+)
+def test_history_law(sizes, global_epochs, local_epochs, validate, transfer):
+    """Rows, losses and validation runs count only the chunks that hold records."""
+    model, chunks, vocab = small_setup(sizes=sizes)
+    config = TrainConfig(global_epochs, local_epochs, batch_size=8, seed=0)
+    n_cols = 1 if transfer else 2
+    validation = None
+    if validate:
+        validation = encode_records(make_records(6, n_cols, seed=9), vocab, 8)
+    calls = []
+    real_evaluate = trainer.evaluate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "evaluate", lambda *a, **k: calls.append(1) or real_evaluate(*a, **k))
+        if transfer:
+            chunks = make_chunks(sizes, n_classes=1, seed=50)
+            hist = transfer_train(
+                model, chunks, [BranchConfig("fresh", (3, 1))], vocab, config, validation
+            )
+        else:
+            hist = train(model, chunks, vocab, config, validation)
+    with_records = [c.index for c in chunks if c.records]
+    assert len(hist.entries) == global_epochs * (local_epochs * len(with_records) + 1)
+    assert {e.chunk_index for e in hist.entries if e.local_epoch} == set(with_records)
+    assert all(math.isfinite(e.train_loss) and e.train_loss > 0 for e in hist.entries)
+    assert len(calls) == (global_epochs * local_epochs * len(with_records) if validate else 0)
 
 
 class TestEvaluate:
