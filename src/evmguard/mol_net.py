@@ -37,6 +37,12 @@ backward pass runs only the recurrent matmuls dh needs inside its time
 loop and stacks the gate deltas; every W, b and U gradient comes from
 whole-sequence matmuls over that stack after the loop, and the embedding
 gradient from one scatter-add of the input deltas by token id.
+
+`forward` and `stem_states` run one scan function. A frozen stem's final
+states, computed once by `stem_states`, can be given back to `forward`,
+which then runs only dropout and the branches; `backward` on such a
+heads-only cache trains branches only. Adam keeps its moments as one flat
+vector each over the trained blocks and updates them whole.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ import numpy as np
 
 from .errors import ConfigError, LoadError, MalformedInputError, UsageError
 from .metrics import PROB_EPS, mean_bce
-from .tokenizer import DEFAULT_MAX_SEQUENCE_LENGTH, check_sequence_length
+from .tokenizer import DEFAULT_MAX_SEQUENCE_LENGTH, VOCAB_SIZE_CEILING, check_sequence_length
 
 DEFAULT_GRU_HIDDEN = 64
 DEFAULT_DROPOUT = 0.2
@@ -80,8 +86,8 @@ class StemConfig:
     max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH
 
     def __post_init__(self):
-        if self.vocab_size < 2:
-            raise ConfigError("vocab_size must cover padding and OOV ids")
+        if not 2 <= self.vocab_size <= VOCAB_SIZE_CEILING:
+            raise ConfigError(f"vocab_size must be in [2, {VOCAB_SIZE_CEILING}]")
         if not (1 <= self.embedding_dim <= MAX_WIDTH and 1 <= self.gru_hidden <= MAX_WIDTH):
             raise ConfigError(f"embedding_dim and gru_hidden must be in [1, {MAX_WIDTH}]")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -248,8 +254,12 @@ def _blas_width(w: np.ndarray) -> np.ndarray:
     whose rows must not depend on the batch are computed at a padded width
     and sliced back.
     """
-    pad = -w.shape[-1] % 16
-    return np.pad(w, [(0, 0)] * (w.ndim - 1) + [(0, pad)]) if pad else w
+    width = w.shape[-1]
+    if not width % 16:
+        return w
+    out = np.zeros(w.shape[:-1] + (width - width % 16 + 16,), dtype=w.dtype)
+    out[..., :width] = w
+    return out
 
 
 def _fused_kernels(p: dict[str, np.ndarray]):
@@ -277,11 +287,12 @@ def _fused_kernels(p: dict[str, np.ndarray]):
 class ForwardCache:
     model: MolModel
     ids: np.ndarray  # (batch, T) as given
-    steps: np.ndarray  # (t_used, batch) token id of each row at each scan step
-    live: np.ndarray  # (t_used, batch, 1) bool: the step updates the row's state
-    h_states: np.ndarray  # (t_used + 1, batch, hidden); [0] is the zero state
-    zr: np.ndarray  # (t_used, batch, 2 * hidden) update|reset gates per step
-    c: np.ndarray  # (t_used, batch, hidden) candidate state per step
+    # The scan's state, None in a heads-only cache (forward given stem_states):
+    steps: np.ndarray | None  # (t_used, batch) token id of each row at each scan step
+    live: np.ndarray | None  # (t_used, batch, 1) bool: the step updates the row's state
+    h_states: np.ndarray | None  # (t_used + 1, batch, hidden); [0] is the zero state
+    zr: np.ndarray | None  # (t_used, batch, 2 * hidden) update|reset gates per step
+    c: np.ndarray | None  # (t_used, batch, hidden) candidate state per step
     drop: np.ndarray | None  # inverted-dropout scale mask or None in eval
     h_final: np.ndarray  # post-dropout stem output (batch, hidden)
     branch_inputs: list[list[np.ndarray]]  # per branch, input to each layer
@@ -300,6 +311,12 @@ def _check_ids(model: MolModel, ids, ndim: int) -> np.ndarray:
             f"token ids must be in [0, {model.stem.vocab_size})"
         )
     return ids
+
+
+def _check_call(model: MolModel, ids, mode: str) -> np.ndarray:
+    if mode not in ("train", "eval"):
+        raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
+    return _check_ids(model, ids, 2)
 
 
 def _step_buffers(rows: int, scan) -> tuple:
@@ -392,45 +409,28 @@ def _branch_heads(stem_out: np.ndarray, heads: list):
     return probs, inputs, pre
 
 
-def forward(
-    model: MolModel,
-    ids: np.ndarray,
-    mode: str = "eval",
-    seed: int = 0,
-    keep_cache: bool = False,
-) -> np.ndarray | tuple[np.ndarray, ForwardCache]:
-    """Probabilities (batch, n_branches), optionally with backward state.
+def _scan(model: MolModel, ids: np.ndarray, keep_cache: bool) -> tuple:
+    """The GRU scan over checked ids: (final state, steps, live, h_states, zr, c).
 
-    The GRU scan stops at the last nonzero id in the batch. Id 0 never
-    updates the hidden state wherever it sits, so padding is a no-op.
-    Without `keep_cache` only the running (batch, hidden) state is kept.
-    In eval mode without a cache a row's probabilities are bit-identical
-    whatever the rest of the batch holds.
+    The final state (batch, hidden) is before dropout; the last three are
+    None without `keep_cache`. The scan stops at the last nonzero id in the
+    batch, and only the steps where some row holds the padding id blend by
+    the mask.
     """
-    if mode not in ("train", "eval"):
-        raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
-    ids = _check_ids(model, ids, 2)
     batch = ids.shape[0]
-    if batch == 1 and mode == "eval" and not keep_cache:
-        # BLAS runs a one-row operand as gemv, which rounds differently from
-        # the same row inside a larger batch; two copies keep them equal.
-        return forward(model, np.repeat(ids, 2, axis=0))[:1]
-    p = model.params
-    dtype = p["embedding"].dtype
+    dtype = model.params["embedding"].dtype
     h = model.stem.gru_hidden
-
-    # Scan up to the last nonzero id; only the steps where some row holds
-    # the padding id blend by the mask.
     used = np.flatnonzero((ids != 0).any(axis=0))
     t_used = int(used[-1]) + 1 if used.size else 0
     steps = ids[:, :t_used].T.astype(np.intp, order="C")
     live = (steps != 0)[:, :, None]
     blend = (steps == 0).any(axis=1).tolist()
 
-    _, _, scan = _fused_kernels(p)
+    _, _, scan = _fused_kernels(model.params)
     bufs = _step_buffers(batch, scan)
     idle = ~live
     h_t, h_new = np.zeros((batch, h), dtype=dtype), np.empty((batch, h), dtype=dtype)
+    h_states = zr_states = c_states = None
     if keep_cache:
         h_states = np.empty((t_used + 1, batch, h), dtype=dtype)
         h_states[0] = h_t
@@ -447,6 +447,60 @@ def forward(
             h_t, h_new = h_new, h_t
             if keep_cache:
                 h_states[t + 1], zr_states[t], c_states[t] = h_t, zr, c
+    return h_t, steps, live, h_states, zr_states, c_states
+
+
+def stem_states(model: MolModel, ids: np.ndarray, mode: str = "eval") -> np.ndarray:
+    """Pre-dropout final GRU states (batch, hidden), as `forward(model, ids, mode)` scans them.
+
+    Given back to `forward` with the same ids, mode and batch, they stand
+    in for the scan bit-identically, so a trainer whose stem stays frozen
+    scans each batch once. An eval-mode batch of one row is scanned as two
+    copies, as `forward` runs it without a cache.
+    """
+    ids = _check_call(model, ids, mode)
+    if ids.shape[0] == 1 and mode == "eval":
+        return stem_states(model, np.repeat(ids, 2, axis=0))[:1]
+    return _scan(model, ids, keep_cache=False)[0]
+
+
+def forward(
+    model: MolModel,
+    ids: np.ndarray,
+    mode: str = "eval",
+    seed: int = 0,
+    keep_cache: bool = False,
+    stem_states: np.ndarray | None = None,
+) -> np.ndarray | tuple[np.ndarray, ForwardCache]:
+    """Probabilities (batch, n_branches), optionally with backward state.
+
+    The GRU scan stops at the last nonzero id in the batch. Id 0 never
+    updates the hidden state wherever it sits, so padding is a no-op.
+    Without `keep_cache` only the running (batch, hidden) state is kept.
+    In eval mode without a cache a row's probabilities are bit-identical
+    whatever the rest of the batch holds.
+
+    `stem_states`, from `stem_states(model, ids, mode)`, replaces the scan:
+    only dropout and the branches run, and a kept cache is heads-only,
+    which `backward` accepts while the stem is frozen.
+    """
+    ids = _check_call(model, ids, mode)
+    batch = ids.shape[0]
+    dtype = model.params["embedding"].dtype
+    h = model.stem.gru_hidden
+    if stem_states is not None and not (
+        isinstance(stem_states, np.ndarray) and stem_states.shape == (batch, h) and stem_states.dtype == dtype
+    ):
+        raise UsageError(f"stem_states must be a ({batch}, {h}) {dtype} array from stem_states()")
+    if batch == 1 and mode == "eval" and not keep_cache:
+        # BLAS runs a one-row operand as gemv, which rounds differently from
+        # the same row inside a larger batch; two copies keep them equal.
+        twice = None if stem_states is None else np.repeat(stem_states, 2, axis=0)
+        return forward(model, np.repeat(ids, 2, axis=0), stem_states=twice)[:1]
+    if stem_states is None:
+        h_t, *scanned = _scan(model, ids, keep_cache)
+    else:
+        h_t, scanned = stem_states, [None] * 5
 
     drop = None
     h_final = h_t
@@ -458,18 +512,7 @@ def forward(
     if not keep_cache:
         return probs
     cache = ForwardCache(
-        model=model,
-        ids=ids,
-        steps=steps,
-        live=live,
-        h_states=h_states,
-        zr=zr_states,
-        c=c_states,
-        drop=drop,
-        h_final=h_final,
-        branch_inputs=branch_inputs,
-        branch_pre=branch_pre,
-        probs=probs,
+        model, ids, *scanned, drop, h_final, branch_inputs, branch_pre, probs
     )
     return probs, cache
 
@@ -619,10 +662,13 @@ def backward(
     `branch_subset` restricts the loss to those output columns (in the
     given order); `labels` must then have one column per selected branch.
     When the whole stem is frozen the time scan is skipped outright, which
-    is what makes branch-only transfer training cheap.
+    is what makes branch-only transfer training cheap; only then may the
+    cache be heads-only (forward given `stem_states`).
     """
     if cache.model is not model:
         raise UsageError("backward called with a cache from a different model")
+    if cache.h_states is None and not model.stem_frozen():
+        raise UsageError("a cache from forward on stem_states cannot train the stem")
     names = model.class_names
     if branch_subset is None:
         selected = list(range(len(names)))
@@ -682,10 +728,11 @@ def backward(
         gate = 1.0 - carry
         d = delta[t]
         np.multiply(dh * gate, 1.0 - c * c, out=d[:, 2 * h :])
-        drh = d[:, 2 * h :] @ u_c_t
-        np.multiply(dh * carry * gate, h_prev - c, out=d[:, :h])
-        np.multiply(drh * r * (1.0 - r), h_prev, out=d[:, h : 2 * h])
-        dh = dh * carry + drh * r + d[:, : 2 * h] @ u_zr_t
+        drh_r = (d[:, 2 * h :] @ u_c_t) * r
+        dh_carry = dh * carry
+        np.multiply(dh_carry * gate, h_prev - c, out=d[:, :h])
+        np.multiply(drh_r * (1.0 - r), h_prev, out=d[:, h : 2 * h])
+        dh = dh_carry + drh_r + d[:, : 2 * h] @ u_zr_t
 
     flat = delta.reshape(-1, 3 * h)
     h_prev = cache.h_states[:-1].reshape(-1, h)
@@ -716,12 +763,20 @@ def backward(
 
 @dataclass
 class AdamState:
+    """Adam's moments as one flat vector each, over the trained blocks in `names` order.
+
+    The first `adam_step` fixes `names` and allocates `m`, `v` and `work`
+    (the gathered gradient and the update, reused every step).
+    """
+
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    names: tuple[str, ...] = ()
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    work: np.ndarray | None = field(default=None, repr=False)  # (2, size)
 
 
 def adam_step(
@@ -730,26 +785,58 @@ def adam_step(
     state: AdamState,
     lr: float = 0.001,
 ) -> None:
-    """Standard bias-corrected Adam over the supplied unfrozen blocks."""
+    """Standard bias-corrected Adam over the supplied unfrozen blocks.
+
+    Gradients of frozen blocks are ignored. Every step must supply the
+    blocks the first one did, each in its block's shape, or it raises
+    UsageError and changes nothing. A step gathers the gradients into one
+    vector and updates it whole, in place, with the elementwise operations
+    of a per-block update in the same order, so bit-identically; then it
+    subtracts each block's slice of the update from the block.
+    """
+    names = [name for name in grads if name not in model.frozen]
+    held = names if state.m is None else state.names
+    if set(names) != set(held) or any(
+        name not in model.params or np.shape(grads[name]) != model.params[name].shape
+        for name in names
+    ):
+        raise UsageError(
+            f"gradients must cover exactly the trained blocks {sorted(held)}, in their shapes"
+        )
+    if state.m is None:
+        size = sum(model.params[name].size for name in names)
+        dtype = model.params["embedding"].dtype
+        state.names, state.m, state.v = tuple(names), np.zeros(size, dtype), np.zeros(size, dtype)
+        state.work = np.empty((2, size), dtype)
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for name, grad in grads.items():
-        if name in model.frozen:
-            continue
+    m, v, (g, upd) = state.m, state.v, state.work
+    blocks = []
+    lo = 0
+    for name in state.names:
         param = model.params[name]
-        if name not in state.m:
-            state.m[name] = np.zeros_like(param)
-            state.v[name] = np.zeros_like(param)
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * grad
-        v *= b2
-        v += (1.0 - b2) * grad * grad
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        span = slice(lo, lo + param.size)
+        np.copyto(g[span].reshape(param.shape), grads[name])
+        blocks.append((param, span))
+        lo = span.stop
+    # per block: m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+    # param -= lr m_hat / (sqrt(v_hat) + eps), each product in this order
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=upd)
+    m += upd
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=upd)
+    upd *= g
+    v += upd
+    np.divide(m, 1.0 - b1**t, out=upd)  # m_hat
+    den = np.divide(v, 1.0 - b2**t, out=g)  # v_hat, over the spent gradient
+    np.sqrt(den, out=den)
+    den += state.eps
+    upd *= lr
+    upd /= den
+    for param, span in blocks:
+        param -= upd[span].reshape(param.shape)
 
 
 def stem_param_count(config: StemConfig) -> int:

@@ -27,6 +27,7 @@ OOV_ID = 1
 DEFAULT_MAX_SEQUENCE_LENGTH = 4100
 SEQUENCE_LENGTH_CEILING = MAX_CODE_BYTES  # the most tokens any contract has
 _LOADABLE = frozenset((PAD_TOKEN, OOV_TOKEN, *TOKENS))  # encode() reaches no other token
+VOCAB_SIZE_CEILING = len(_LOADABLE)  # the most ids a vocabulary can hold
 
 
 @dataclass(frozen=True)

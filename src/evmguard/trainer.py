@@ -7,6 +7,13 @@ local epochs, then contiguous mini-batches (the short final batch is
 trained too), so every history row's loss was measured. Everything is
 seeded, so two runs with the same inputs produce bit-identical parameter
 trajectories.
+
+When the stem is frozen for the whole loop (every `transfer_train`, and
+`train` on a model whose stem the caller froze), the loop scans each
+training batch and each validation batch once, up front, and keeps only
+the stem's final state per record; every step and validation pass then
+runs dropout and the branches on those states, with the same results as
+scanning again.
 """
 
 from __future__ import annotations
@@ -92,6 +99,15 @@ def _batches(n: int, batch_size: int):
         yield start, min(start + batch_size, n)
 
 
+def _frozen_stem_states(model: MolModel, ids: np.ndarray, batch_size: int, mode: str):
+    """A frozen stem's state of every row, scanned on the batches `forward` gets; else None."""
+    if not model.stem_frozen():
+        return None
+    return np.concatenate([
+        mol_net.stem_states(model, ids[lo:hi], mode) for lo, hi in _batches(len(ids), batch_size)
+    ])
+
+
 def _run_loop(
     model: MolModel,
     chunks: list[Chunk],
@@ -133,12 +149,17 @@ def _run_loop(
         for i, bc in enumerate(new_branches):
             mol_net.add_branch(model, bc, seed=config.seed + 1 + i)
     cols = [model.class_names.index(n) for n in names]
+    # None unless the stem is frozen; it then stays so for the whole loop
+    stems = [_frozen_stem_states(model, enc.ids, config.batch_size, "train") for _, enc in encoded]
+    val_stems = None
+    if validation:
+        val_stems = _frozen_stem_states(model, validation.ids, EVAL_BATCH_SIZE, "eval")
     history = MetricsHistory()
     state = AdamState()
     start = time.perf_counter()
     for g in range(1, config.global_epochs + 1):
         epoch_losses: list[float] = []
-        for index, enc in encoded:
+        for (index, enc), states in zip(encoded, stems):
             for loc in range(1, config.local_epochs + 1):
                 losses = []
                 for lo, hi in _batches(len(enc), config.batch_size):
@@ -148,6 +169,7 @@ def _run_loop(
                         mode="train",
                         seed=config.seed + state.step,
                         keep_cache=True,
+                        stem_states=None if states is None else states[lo:hi],
                     )
                     y = enc.labels[lo:hi]
                     losses.append(mol_net.bce_loss(y, probs[:, cols]))
@@ -156,7 +178,7 @@ def _run_loop(
                 epoch_losses.extend(losses)
                 report = None
                 if validation:
-                    report = evaluate(model, validation, config.threshold, names)
+                    report = evaluate(model, validation, config.threshold, names, val_stems)
                 history.entries.append(HistoryEntry(
                     g, loc, index, float(np.mean(losses)), report, time.perf_counter() - start
                 ))
@@ -204,8 +226,12 @@ def evaluate(
     data: EncodedSet,
     threshold: float = 0.5,
     branch_subset: list[str] | None = None,
+    stem_states: np.ndarray | None = None,
 ) -> metrics.MetricsReport:
-    """Eval-mode forward, binarize at p >= threshold, full metrics report."""
+    """Eval-mode forward, binarize at p >= threshold, full metrics report.
+
+    `stem_states` is as in `predict_probs`.
+    """
     if len(data) == 0:
         raise ShortageError("cannot evaluate an empty split")
     names = branch_subset if branch_subset else model.class_names
@@ -214,17 +240,23 @@ def evaluate(
         raise ConfigError(
             f"labels have {data.labels.shape[1]} columns, expected {len(cols)}"
         )
-    probs = predict_probs(model, data.ids)[:, cols]
+    probs = predict_probs(model, data.ids, stem_states)[:, cols]
     preds = probs >= threshold
     return metrics.evaluate(names, data.labels.astype(bool), preds, probs)
 
 
-def predict_probs(model: MolModel, ids: np.ndarray) -> np.ndarray:
-    """Batched eval-mode probabilities for an (n, T) id matrix."""
-    outs = [
-        mol_net.forward(model, ids[lo:hi], mode="eval")
-        for lo, hi in _batches(ids.shape[0], EVAL_BATCH_SIZE)
-    ]
+def predict_probs(
+    model: MolModel, ids: np.ndarray, stem_states: np.ndarray | None = None
+) -> np.ndarray:
+    """Batched eval-mode probabilities for an (n, T) id matrix.
+
+    `stem_states`, a frozen stem's state of every row scanned on these
+    EVAL_BATCH_SIZE batches (as `_run_loop` caches them), replaces the scan.
+    """
+    outs = []
+    for lo, hi in _batches(ids.shape[0], EVAL_BATCH_SIZE):
+        states = None if stem_states is None else stem_states[lo:hi]
+        outs.append(mol_net.forward(model, ids[lo:hi], mode="eval", stem_states=states))
     if not outs:
         return np.zeros((0, len(model.branches)), dtype=np.float32)
     return np.concatenate(outs, axis=0)

@@ -348,6 +348,25 @@ class TestErrors:
         assert err.startswith("error: ") and "must be in [1, " in err
         assert not out.exists()
 
+    def test_model_above_the_vocab_ceiling_exits_1(self, trained, capsys):
+        # a well-formed container whose embedding has one row more than any vocabulary
+        stem = mol_net.StemConfig(vocab_size=259, embedding_dim=2, gru_hidden=2, max_sequence_length=12)
+        path = trained["tmp"] / "wide.bin"
+        mol_net.save_model(mol_net.init_model(stem, [mol_net.BranchConfig("a", (1,))], seed=0), path)
+        blob = path.read_bytes()
+        n = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16 : 16 + n])
+        header["stem"]["vocab_size"] = 260
+        header["blocks"][0]["shape"] = [260, 2]
+        payload = json.dumps(header).encode()
+        embedding_end = 16 + n + 4 * 259 * 2
+        path.write_bytes(blob[:8] + len(payload).to_bytes(8, "little") + payload
+                         + blob[16 + n : embedding_end] + bytes(8) + blob[embedding_end:])
+        argv = ["eval", "--model", path, "--vocab", trained["vocab"],
+                "--data", trained["chunks_dir"] / "validation.csv"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: bad model header: vocab_size must be in [2, 259]\n"
+
     @pytest.mark.parametrize("command", ["train", "transfer"])
     def test_nan_learning_rate_exits_1(self, trained, capsys, command):
         argv = [command, "--chunks-dir", trained["chunks_dir"], "--lr", "nan",

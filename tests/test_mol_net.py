@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evmguard.errors import ConfigError, LoadError, MalformedInputError, UsageError
-from evmguard.tokenizer import SEQUENCE_LENGTH_CEILING, encode, fit
+from evmguard.evm_bytecode import TOKENS
+from evmguard.tokenizer import SEQUENCE_LENGTH_CEILING, VOCAB_SIZE_CEILING, encode, fit
 from evmguard.mol_net import (
     MAX_WIDTH,
     REFERENCE_STEM,
@@ -30,6 +31,7 @@ from evmguard.mol_net import (
     param_count,
     save_model,
     stem_param_count,
+    stem_states,
     _branch_heads,
     _fused_kernels,
     _stacked_heads,
@@ -134,6 +136,8 @@ class TestInit:
             ("gru_hidden", MAX_WIDTH + 1),
             ("max_sequence_length", SEQUENCE_LENGTH_CEILING + 1),
             ("max_sequence_length", 2**62),
+            ("vocab_size", VOCAB_SIZE_CEILING + 1),
+            ("vocab_size", 2**62),
         ],
     )
     def test_stem_size_above_its_ceiling_rejected(self, field, value):
@@ -147,10 +151,21 @@ class TestInit:
 
     def test_sizes_at_their_ceiling_accepted(self):
         dataclasses.replace(
-            SMALL_STEM, embedding_dim=MAX_WIDTH, gru_hidden=MAX_WIDTH,
-            max_sequence_length=SEQUENCE_LENGTH_CEILING,
+            SMALL_STEM, vocab_size=VOCAB_SIZE_CEILING, embedding_dim=MAX_WIDTH,
+            gru_hidden=MAX_WIDTH, max_sequence_length=SEQUENCE_LENGTH_CEILING,
         )
         BranchConfig("a", (MAX_WIDTH, 1))
+
+    def test_vocab_ceiling_is_the_largest_vocabulary(self):
+        assert len(fit([TOKENS])) == VOCAB_SIZE_CEILING == 259
+
+    def test_huge_vocab_size_is_a_config_error_not_a_numpy_error(self):
+        with pytest.raises(ConfigError, match="vocab_size"):
+            init_model(
+                StemConfig(vocab_size=2**62, embedding_dim=2, gru_hidden=2, max_sequence_length=4),
+                [BranchConfig("a", (1,))],
+                seed=0,
+            )
 
 
 class TestForward:
@@ -280,6 +295,79 @@ class TestAdam:
         assert state.step == 2
 
 
+def per_block_adam(model, grads, state, lr):
+    """Adam as one update per block, with `state` a dict of per-block moments."""
+    state["t"] = t = state.get("t", 0) + 1
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for name, grad in grads.items():
+        if name in model.frozen:
+            continue
+        param = model.params[name]
+        m = state.setdefault(("m", name), np.zeros_like(param))
+        v = state.setdefault(("v", name), np.zeros_like(param))
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * grad * grad
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("frozen", [None, "gru/uz"])
+    def test_bit_identical_to_per_block_adam(self, dtype, frozen):
+        stem = dataclasses.replace(SMALL_STEM, dropout_rate=0.0)
+        flat = init_model(stem, [BranchConfig("a", (5, 1)), BranchConfig("b", (3, 1))], 4, dtype)
+        if frozen:
+            flat.frozen.add(frozen)
+        reference = init_model(stem, flat.branches, 4, dtype)
+        reference.frozen = set(flat.frozen)
+        state, ref_state = AdamState(), {}
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            # gradients of every block, frozen ones included, on wide scales
+            grads = {name: (rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)).astype(dtype)
+                     for name, p in flat.params.items()}
+            adam_step(flat, grads, state, lr=0.003)
+            per_block_adam(reference, grads, ref_state, lr=0.003)
+            for name, param in reference.params.items():
+                assert flat.params[name].tobytes() == param.tobytes(), name
+        assert state.step == 5
+        assert state.names == tuple(n for n in flat.params if n != frozen)
+        assert state.m.size == param_count(flat, "trainable")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda g: g.pop("embedding"),
+            lambda g: g.update(extra=np.zeros(3, np.float32)),
+            lambda g: g.update({"gru/bz": np.zeros(5, np.float32)}),
+            lambda g: g.update({"gru/bz": np.float32(1.0)}),
+        ],
+        ids=["missing_block", "unknown_block", "wrong_shape", "scalar"],
+    )
+    def test_other_blocks_than_the_state_holds_raise_usage_error(self, edit):
+        model = small_model()
+        state = AdamState()
+        grads = {k: np.ones_like(v) for k, v in model.params.items()}
+        adam_step(model, grads, state)
+        before = {k: v.copy() for k, v in model.params.items()}
+        m = state.m.copy()
+        edit(grads)
+        with pytest.raises(UsageError):
+            adam_step(model, grads, state)
+        assert state.step == 1 and state.m.tobytes() == m.tobytes()
+        for k in before:
+            assert model.params[k].tobytes() == before[k].tobytes()
+
+    def test_first_step_with_an_unknown_block_raises_usage_error(self):
+        model = small_model()
+        with pytest.raises(UsageError):
+            adam_step(model, {"nope": np.zeros(2, np.float32)}, AdamState())
+
+
 class TestAddBranch:
     def test_appends_and_preserves(self):
         model = small_model()
@@ -306,6 +394,37 @@ class TestAddBranch:
         add_branch(model, BranchConfig("b"), seed=1)
         add_branch(model, BranchConfig("c"), seed=2)
         assert param_count(model, "trainable") - before == 33282
+
+
+class TestStemStates:
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    @pytest.mark.parametrize("hidden", [6, 64])
+    def test_stand_in_for_the_scan(self, mode, rows, hidden):
+        # at hidden 64 a lone row's scan rounds differently from the same row among others
+        model = init_model(dataclasses.replace(SMALL_STEM, gru_hidden=hidden),
+                           [BranchConfig("a", (5, 1)), BranchConfig("b", (1,))], seed=3)
+        ids = np.random.default_rng(rows).integers(0, 10, (rows, 200))
+        states = stem_states(model, ids, mode)
+        expected = forward(model, ids, mode=mode, seed=5)
+        assert forward(model, ids, mode=mode, seed=5, stem_states=states).tobytes() == expected.tobytes()
+
+    def test_an_eval_rows_state_does_not_depend_on_its_batch(self):
+        # a lone row is scanned as two copies, as forward runs it
+        model = init_model(dataclasses.replace(SMALL_STEM, gru_hidden=64), [BranchConfig("a")], seed=3)
+        ids = np.random.default_rng(0).integers(0, 10, (3, 200))
+        batch = stem_states(model, ids, "eval")
+        for row in range(3):
+            assert stem_states(model, ids[row : row + 1], "eval").tobytes() == batch[row].tobytes()
+
+    @pytest.mark.parametrize(
+        "states",
+        [np.zeros((2, 5), np.float32), np.zeros((3, 6), np.float32), np.zeros((2, 6)), [[0.0] * 6] * 2],
+        ids=["width", "rows", "dtype", "list"],
+    )
+    def test_wrong_states_raise_usage_error(self, states):
+        with pytest.raises(UsageError, match="stem_states"):
+            forward(small_model(), ids_batch(), mode="train", keep_cache=True, stem_states=states)
 
 
 class TestBackwardContracts:
@@ -396,6 +515,25 @@ def rewrite_header(path, edit):
     edit(header)
     payload = json.dumps(header).encode()
     path.write_bytes(blob[:8] + len(payload).to_bytes(8, "little") + payload + blob[16 + n :])
+
+
+def test_header_above_the_vocab_ceiling_is_a_load_error(tmp_path):
+    # a file whose blocks fit a 260-row embedding: only the ceiling refuses it
+    stem = dataclasses.replace(SMALL_STEM, vocab_size=VOCAB_SIZE_CEILING)
+    path = tmp_path / "model.bin"
+    save_model(init_model(stem, [BranchConfig("a", (1,))], seed=0), path)
+    d = stem.embedding_dim
+
+    def widen(header):
+        header["stem"]["vocab_size"] = VOCAB_SIZE_CEILING + 1
+        header["blocks"][0]["shape"] = [VOCAB_SIZE_CEILING + 1, d]
+
+    rewrite_header(path, widen)
+    blob = path.read_bytes()
+    embedding_end = 16 + int.from_bytes(blob[8:16], "little") + 4 * VOCAB_SIZE_CEILING * d
+    path.write_bytes(blob[:embedding_end] + bytes(4 * d) + blob[embedding_end:])
+    with pytest.raises(LoadError, match=f"vocab_size must be in \\[2, {VOCAB_SIZE_CEILING}\\]"):
+        load_model(path)
 
 
 class TestMalformedHeader:

@@ -1,5 +1,6 @@
 """Training loop mechanics: step counts, history, transfer, evaluation."""
 
+import copy
 import csv
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from evmguard import mol_net, trainer
 from evmguard.corpus import Chunk, ContractRecord
-from evmguard.errors import ConfigError, ShortageError
+from evmguard.errors import ConfigError, ShortageError, UsageError
 from evmguard.mol_net import BranchConfig, StemConfig, forward, init_model
 from evmguard.tokenizer import fit
 from evmguard.trainer import (
@@ -397,6 +398,96 @@ class TestTransfer:
                 model, make_chunks((8,), 1), [BranchConfig("k0", (3, 1))], vocab,
                 TrainConfig(seed=0),
             )
+
+
+def full_scan_loop(model, chunks, vocab, config, validation, names):
+    """Reference loop: every step and every validation pass runs the whole stem scan.
+
+    Returns (loss, weighted F1, Hamming) per local epoch, as `_run_loop`
+    records them.
+    """
+    cols = [model.class_names.index(n) for n in names]
+    state = mol_net.AdamState()
+    rows = []
+    for _ in range(config.global_epochs):
+        for chunk in chunks:
+            enc = encode_records(chunk.records, vocab, model.stem.max_sequence_length)
+            for _ in range(config.local_epochs):
+                losses = []
+                for lo in range(0, len(enc), config.batch_size):
+                    ids, y = enc.ids[lo : lo + config.batch_size], enc.labels[lo : lo + config.batch_size]
+                    probs, cache = forward(
+                        model, ids, mode="train", seed=config.seed + state.step, keep_cache=True
+                    )
+                    losses.append(mol_net.bce_loss(y, probs[:, cols]))
+                    grads = mol_net.backward(model, cache, y, names)
+                    mol_net.adam_step(model, grads, state, config.learning_rate)
+                report = evaluate(model, validation, config.threshold, names)
+                rows.append((float(np.mean(losses)), report.weighted_f1, report.hamming))
+    return rows
+
+
+class TestFrozenStemCache:
+    """Steps behind a frozen stem read its cached state and match a loop that rescans it."""
+
+    # 33 and 65 records at batch 32 end in one-row batches; 257 validation
+    # rows leave one row after a full EVAL_BATCH_SIZE batch
+    SIZES = (33, 65)
+    CONFIG = TrainConfig(global_epochs=2, local_epochs=2, batch_size=32, seed=3)
+
+    def check(self, model, reference, run, names, n_classes, monkeypatch):
+        vocab = fit([TOKEN_POOL])
+        chunks = make_chunks(self.SIZES, n_classes, seed=60)
+        validation = encode_records(make_records(257, n_classes, seed=61), vocab, 8)
+        expected = full_scan_loop(reference, chunks, vocab, self.CONFIG, validation, names)
+        scans = []
+        real_scan = mol_net._scan
+        monkeypatch.setattr(mol_net, "_scan", lambda *a, **k: scans.append(1) or real_scan(*a, **k))
+        hist = run(model, chunks, vocab, validation)
+        got = [(e.train_loss, e.validation.weighted_f1, e.validation.hamming)
+               for e in hist.entries if e.local_epoch]
+        assert got == expected
+        assert model.params.keys() == reference.params.keys()
+        for name, value in reference.params.items():
+            assert model.params[name].tobytes() == value.tobytes(), name
+        # each training batch and each validation batch is scanned once in all
+        assert len(scans) == 2 + 3 + 2
+
+    def test_transfer_matches_a_full_scan_loop(self, monkeypatch):
+        model, chunks, vocab = small_setup()
+        train(model, chunks, vocab, TrainConfig(seed=0))
+        reference = copy.deepcopy(model)
+        reference.set_stem_frozen(True)
+        for name in reference.class_names:
+            reference.set_branch_frozen(name, True)
+        new = [BranchConfig("n0", (3, 1)), BranchConfig("n1", (5, 1))]
+        for i, branch in enumerate(new):
+            mol_net.add_branch(reference, branch, seed=self.CONFIG.seed + 1 + i)
+
+        def run(model, chunks, vocab, validation):
+            return transfer_train(model, chunks, new, vocab, self.CONFIG, validation)
+
+        self.check(model, reference, run, ["n0", "n1"], 2, monkeypatch)
+
+    def test_train_behind_a_stem_frozen_by_hand_matches_a_full_scan_loop(self, monkeypatch):
+        model, _, _ = small_setup()
+        model.set_stem_frozen(True)
+        reference = copy.deepcopy(model)
+
+        def run(model, chunks, vocab, validation):
+            return train(model, chunks, vocab, self.CONFIG, validation)
+
+        self.check(model, reference, run, model.class_names, 2, monkeypatch)
+
+    def test_backward_refuses_a_heads_only_cache_for_a_trainable_stem(self):
+        model, chunks, vocab = small_setup()
+        ids = encode_records(chunks[0].records, vocab, 8).ids[:5]
+        states = mol_net.stem_states(model, ids, "train")
+        _, cache = forward(model, ids, mode="train", seed=1, keep_cache=True, stem_states=states)
+        with pytest.raises(UsageError):
+            mol_net.backward(model, cache, np.zeros((5, 2)))
+        model.set_stem_frozen(True)
+        assert set(mol_net.backward(model, cache, np.zeros((5, 2)))) == set(model.trainable_blocks())
 
 
 class TestLossProgress:
