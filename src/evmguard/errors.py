@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type tests behind ConfigError."""
+
+import numbers
 
 
 class EvmGuardError(Exception):
@@ -48,3 +50,13 @@ def not_utf8(path) -> ParseError:
     except UnicodeDecodeError as exc:
         return ParseError("not UTF-8 text", line=data.count(b"\n", 0, exc.start) + 1)
     return ParseError("not UTF-8 text")
+
+
+def is_int(value) -> bool:
+    """A Python int that is not a bool: what a config's counts and sizes must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)

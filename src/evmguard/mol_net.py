@@ -54,7 +54,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, LoadError, MalformedInputError, UsageError
+from .errors import ConfigError, LoadError, MalformedInputError, UsageError, is_int
 from .metrics import PROB_EPS, mean_bce
 from .tokenizer import DEFAULT_MAX_SEQUENCE_LENGTH, VOCAB_SIZE_CEILING, check_sequence_length
 
@@ -86,6 +86,13 @@ class StemConfig:
     max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH
 
     def __post_init__(self):
+        ints = (self.vocab_size, self.embedding_dim, self.gru_hidden, self.max_sequence_length)
+        if not all(is_int(v) for v in ints):
+            raise ConfigError(
+                "vocab_size, embedding_dim, gru_hidden and max_sequence_length must be ints"
+            )
+        if not (is_int(self.dropout_rate) or isinstance(self.dropout_rate, float)):
+            raise ConfigError("dropout_rate must be an int or a float")  # what a header stores
         if not 2 <= self.vocab_size <= VOCAB_SIZE_CEILING:
             raise ConfigError(f"vocab_size must be in [2, {VOCAB_SIZE_CEILING}]")
         if not (1 <= self.embedding_dim <= MAX_WIDTH and 1 <= self.gru_hidden <= MAX_WIDTH):
@@ -101,6 +108,10 @@ class BranchConfig:
     dense_widths: tuple[int, ...] = DEFAULT_DENSE_WIDTHS
 
     def __post_init__(self):
+        if not isinstance(self.class_name, str):
+            raise ConfigError("class_name must be a string")
+        if not (isinstance(self.dense_widths, tuple) and all(is_int(w) for w in self.dense_widths)):
+            raise ConfigError("dense_widths must be a tuple of ints")
         if not self.dense_widths or self.dense_widths[-1] != 1:
             raise ConfigError("branch must end in a single-neuron head")
         if not all(1 <= w <= MAX_WIDTH for w in self.dense_widths):
@@ -890,25 +901,28 @@ def save_model(model: MolModel, path) -> None:
 
 
 def _header_configs(header) -> tuple[StemConfig, list[BranchConfig]]:
-    """Configs a header declares: LoadError on wrong keys or types, ConfigError on bad values."""
+    """Configs a header declares: LoadError on wrong keys or shapes, ConfigError on bad values.
+
+    The configs check their own values' types.
+    """
     try:
         stem, branches, frozen = header["stem"], header["branches"], header["frozen"]
         well_formed = (
             set(header) == {"stem", "branches", "frozen", "vocab_fingerprint", "blocks"}
+            and type(stem) is dict
             and set(stem) == {f.name for f in fields(StemConfig)}
-            and all(type(v) is int for k, v in stem.items() if k != "dropout_rate")
-            and type(stem["dropout_rate"]) in (int, float)
+            and type(branches) is list
             and all(
-                set(b) == {"class_name", "dense_widths"}
-                and type(b["class_name"]) is str
-                and all(type(w) is int for w in b["dense_widths"])
+                type(b) is dict
+                and set(b) == {"class_name", "dense_widths"}
+                and type(b["dense_widths"]) is list
                 for b in branches
             )
             and type(frozen) is list
             and all(type(name) is str for name in frozen)
             and type(header["vocab_fingerprint"]) in (str, type(None))
         )
-    except (KeyError, TypeError, AttributeError):
+    except (KeyError, TypeError):
         well_formed = False
     if not well_formed:
         raise LoadError("malformed model header")

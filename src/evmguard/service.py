@@ -27,7 +27,10 @@ the value is a read-only copy of the row. Because a row's probabilities
 depend only on its ids, bit for bit, a hit is exact: the document is
 byte-equal to an uncached one. Normalization drops operands, so every
 EIP-1167 proxy clone, whatever its target address, shares one entry. The
-cache is one LRU of CACHE_ENTRIES rows behind the service lock; errors
+cache is one LRU of CACHE_ENTRIES rows, filled by the scan's leader as it
+hands each finished row to its waiter. One condition guards the cache
+and the scan's queue, slot map and leader flag, and is never held while
+the scan runs, so a hit is answered while a long row is scanned. Errors
 are never cached, and concurrent misses on the same ids are not
 coalesced (each runs its own row; the results are equal). At start-up the
 scan checks once that its products on 2 and 3 rows agree on the shared
@@ -78,6 +81,7 @@ MAX_HEADERS = 100
 @dataclass
 class _Request:
     ids: np.ndarray
+    key: bytes  # the result cache's key for these ids
     probs: np.ndarray | None = None
     error: Exception | None = None
 
@@ -86,75 +90,18 @@ class _Request:
         return self.probs is not None or self.error is not None
 
 
-class _SharedScan:
-    """One Scanner shared by every in-flight request, stepped by one of their threads.
-
-    Requests queue their ids; a thread that finds no leader becomes it,
-    admits queued rows between steps and steps until its own row is done,
-    then gives the scan up to a waiting thread (leader/follower). The
-    scanner and `_rows` are touched only by the current leader.
-    """
-
-    def __init__(self, model: MolModel):
-        self._scanner = Scanner(model)
-        self._scanner.check_batch_invariance()
-        self._cond = threading.Condition()
-        self._queued: list[_Request] = []
-        self._rows: dict[int, _Request] = {}  # scanner slot -> its request
-        self._leading = False
-
-    def probabilities(self, ids: np.ndarray) -> np.ndarray:
-        request = _Request(ids)
-        with self._cond:
-            self._queued.append(request)
-            while self._leading and not request.done:
-                self._cond.wait()
-            lead = not request.done
-            if lead:
-                self._leading = True
-        if lead:
-            try:
-                self._lead(request)
-            finally:
-                with self._cond:
-                    self._leading = False
-                    self._cond.notify_all()
-        if request.error is not None:
-            raise request.error
-        return request.probs
-
-    def _lead(self, own: _Request) -> None:
-        try:
-            while not own.done:
-                if self._queued:
-                    with self._cond:
-                        for request in self._queued:
-                            try:
-                                self._rows[self._scanner.admit(request.ids)] = request
-                            except MalformedInputError as exc:
-                                request.error = exc
-                                self._cond.notify_all()
-                        self._queued.clear()
-                finished = self._scanner.advance(self._queued.__len__)
-                if finished:
-                    with self._cond:
-                        for slot, probs in finished:
-                            self._rows.pop(slot).probs = probs
-                        self._cond.notify_all()
-        except BaseException as exc:
-            # The scan's state is unknown: fail every request in it or
-            # queued for it, and start a fresh scan.
-            with self._cond:
-                for request in [*self._rows.values(), *self._queued]:
-                    request.error = EvmGuardError(f"prediction scan failed: {exc!r}")
-                self._rows.clear()
-                self._queued.clear()
-                self._scanner = Scanner(self._scanner.model)
-            raise
-
-
 class PredictionService:
-    """Immutable model + vocabulary behind the predict/config operations."""
+    """Immutable model + vocabulary behind the predict/config operations.
+
+    One Scanner is shared by every in-flight request and stepped by one of
+    their threads. A request that misses the cache queues its row; a thread
+    that finds no leader becomes it, admits queued rows between blocks and
+    advances until its own row is done, then gives the scan up to a waiting
+    thread (leader/follower). One condition guards the result cache, the
+    queue, the slot map, the leader flag and requests_served. The scanner
+    is touched only by the current leader, which advances it outside the
+    condition.
+    """
 
     def __init__(
         self,
@@ -168,9 +115,13 @@ class PredictionService:
         self.vocab = vocab
         self.raw = raw
         self.timer = timer
-        self._lock = threading.Lock()
-        self._scan = _SharedScan(model)
+        self._scanner = Scanner(model)
+        self._scanner.check_batch_invariance()
+        self._cond = threading.Condition()
         self._cache: OrderedDict[bytes, np.ndarray] = OrderedDict()  # LRU, oldest first
+        self._queued: list[_Request] = []
+        self._rows: dict[int, _Request] = {}  # scanner slot -> its request
+        self._leading = False
         self._cell_keys = [json.dumps(name) + ": " for name in model.class_names]
         self.requests_served = 0
 
@@ -190,26 +141,70 @@ class PredictionService:
         """
         tokens = preprocess(hex_text)
         seq = encode(tokens, self.vocab, self.model.stem.max_sequence_length)
-        key = hashlib.sha256(seq.ids[: seq.true_length].tobytes()).digest()
-        with self._lock:
-            probs = self._cache.get(key)
+        request = _Request(seq.ids, hashlib.sha256(seq.ids[: seq.true_length].tobytes()).digest())
+        with self._cond:
+            probs = self._cache.get(request.key)
             if probs is not None:
-                self._cache.move_to_end(key)
+                self._cache.move_to_end(request.key)
                 return probs
-        probs = self._scan.probabilities(seq.ids).copy()  # not a view into the scan's batch
-        probs.flags.writeable = False
-        with self._lock:
-            self._cache[key] = probs
-            self._cache.move_to_end(key)
-            if len(self._cache) > CACHE_ENTRIES:
-                self._cache.popitem(last=False)
-        return probs
+            self._queued.append(request)
+            while self._leading and not request.done:
+                self._cond.wait()
+            lead = not request.done
+            if lead:
+                self._leading = True
+        if lead:
+            try:
+                self._lead(request)
+            finally:
+                with self._cond:
+                    self._leading = False
+                    self._cond.notify_all()
+        if request.error is not None:
+            raise request.error
+        return request.probs
+
+    def _lead(self, own: _Request) -> None:
+        """Step the scan until `own` is done; each finished row is cached as it is handed over."""
+        try:
+            while not own.done:
+                if self._queued:
+                    with self._cond:
+                        for request in self._queued:
+                            try:
+                                self._rows[self._scanner.admit(request.ids)] = request
+                            except MalformedInputError as exc:
+                                request.error = exc
+                                self._cond.notify_all()
+                        self._queued.clear()
+                finished = self._scanner.advance(self._queued.__len__)
+                if finished:
+                    with self._cond:
+                        for slot, probs in finished:
+                            request = self._rows.pop(slot)
+                            request.probs = probs = probs.copy()  # not a view into the scan's batch
+                            probs.flags.writeable = False
+                            self._cache[request.key] = probs
+                            self._cache.move_to_end(request.key)
+                            if len(self._cache) > CACHE_ENTRIES:
+                                self._cache.popitem(last=False)
+                        self._cond.notify_all()
+        except BaseException as exc:
+            # The scan's state is unknown: fail every request in it or
+            # queued for it, and start a fresh scan.
+            with self._cond:
+                for request in [*self._rows.values(), *self._queued]:
+                    request.error = EvmGuardError(f"prediction scan failed: {exc!r}")
+                self._rows.clear()
+                self._queued.clear()
+                self._scanner = Scanner(self.model)
+            raise
 
     def predict_document(self, hex_text: str) -> str:
         started = self.timer()
         probs = self.predict_probabilities(hex_text)
         elapsed = self.timer() - started
-        with self._lock:
+        with self._cond:
             self.requests_served += 1
         # float32 -> float is exact, so each cell reads as the float32 value did
         fmt = json.dumps if self.raw else "{:.4f}".format

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import metrics, mol_net
 from .corpus import Chunk, ContractRecord
-from .errors import ConfigError, ShortageError
+from .errors import ConfigError, ShortageError, is_int, is_real
 from .mol_net import AdamState, MolModel
 from .tokenizer import Vocabulary, encode_batch
 
@@ -46,8 +46,15 @@ class TrainConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
+        ints = (self.global_epochs, self.local_epochs, self.batch_size, self.seed)
+        if not all(is_int(v) for v in ints):
+            raise ConfigError("epoch and batch counts and the seed must be ints")
+        if not (is_real(self.learning_rate) and is_real(self.threshold)):
+            raise ConfigError("learning_rate and threshold must be real numbers")
         if min(self.global_epochs, self.local_epochs, self.batch_size) < 1:
             raise ConfigError("epoch and batch counts must be >= 1")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError("seed must be >= 0")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must be strictly between 0 and 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
@@ -235,6 +242,9 @@ def evaluate(
     if len(data) == 0:
         raise ShortageError("cannot evaluate an empty split")
     names = branch_subset if branch_subset else model.class_names
+    unknown = [n for n in names if n not in model.class_names]
+    if unknown:
+        raise ConfigError(f"unknown branches {unknown!r}")
     cols = [model.class_names.index(n) for n in names]
     if data.labels.shape[1] != len(cols):
         raise ConfigError(

@@ -156,6 +156,38 @@ class TestInit:
         )
         BranchConfig("a", (MAX_WIDTH, 1))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: StemConfig(10, 4, 8, 0.2, 12.0),
+            lambda: dataclasses.replace(SMALL_STEM, embedding_dim=2.5),
+            lambda: dataclasses.replace(SMALL_STEM, embedding_dim=True),
+            lambda: dataclasses.replace(SMALL_STEM, vocab_size=np.int64(10)),
+            lambda: dataclasses.replace(SMALL_STEM, gru_hidden="6"),
+            lambda: dataclasses.replace(SMALL_STEM, dropout_rate=False),
+            lambda: dataclasses.replace(SMALL_STEM, dropout_rate=np.float32(0.2)),
+            lambda: BranchConfig("a", (4.0, 1)),
+            lambda: BranchConfig("a", (4, True)),
+            lambda: BranchConfig("a", [4, 1]),
+            lambda: BranchConfig(7, (4, 1)),
+        ],
+        ids=[
+            "float_length", "float_width", "bool_width", "numpy_int_vocab", "str_hidden",
+            "bool_dropout", "numpy_float32_dropout", "float_dense_width", "bool_dense_width",
+            "list_dense_widths", "int_class_name",
+        ],
+    )
+    def test_value_a_header_cannot_hold_is_a_config_error(self, make):
+        with pytest.raises(ConfigError):
+            make()
+
+    @pytest.mark.parametrize("dropout_rate", [0, np.float64(0.25)])
+    def test_accepted_configs_save_and_load_back(self, tmp_path, dropout_rate):
+        stem = dataclasses.replace(SMALL_STEM, dropout_rate=dropout_rate)
+        save_model(init_model(stem, [BranchConfig("a", (3, 1))], seed=0), tmp_path / "m.bin")
+        loaded = load_model(tmp_path / "m.bin")
+        assert (loaded.stem, loaded.branches) == (stem, [BranchConfig("a", (3, 1))])
+
     def test_vocab_ceiling_is_the_largest_vocabulary(self):
         assert len(fit([TOKENS])) == VOCAB_SIZE_CEILING == 259
 

@@ -1,14 +1,18 @@
 """The runtime is numpy and the standard library, and no HTTP client, mail or TLS code.
 
 The import runs in a child process, and only the modules it adds count:
-a site hook may load other packages before any program code runs.
+a site hook may load other packages before any program code runs. No
+module under src/evmguard imports a name it never uses.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,3 +36,42 @@ def test_cli_import_adds_only_numpy_and_standard_library_modules():
     packages = {name.partition(".")[0] for name in loaded}
     assert packages - set(sys.stdlib_module_names) == {"numpy", "evmguard"}
     assert loaded.isdisjoint({"http.server", "http.client", "email", "ssl"})
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, bar those on a `# noqa: F401` line.
+
+    A name counts as used if it is read anywhere or listed in `__all__`.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}  # bound name -> the import's line number
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            spanned = lines[node.lineno - 1 : node.end_lineno]
+            if any("# noqa: F401" in line for line in spanned):
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_unused_import_finder():
+    source = (
+        "import os\nimport os.path\nimport json as j\nfrom a import b, c\n"
+        "from d import e  # noqa: F401\n__all__ = ['c']\nprint(os, b)\n"
+    )
+    assert unused_imports(source) == ["line 3: j"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "evmguard").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -372,21 +372,50 @@ class TestSharedScan:
         assert service.predict_probabilities("6060").shape == (2,)
 
     def test_failure_reaches_every_waiting_request(self):
-        scan = service_module._SharedScan(make_service()[1])
-        waiting = service_module._Request(np.zeros(16, dtype=np.int32))
-        scan._queued.append(waiting)
+        service = make_service()[0]
+        waiting = service_module._Request(np.zeros(16, dtype=np.int32), b"waiting")
+        service._queued.append(waiting)
 
         class Exploding:
-            model = scan._scanner.model
-
             def admit(self, ids):
                 raise RuntimeError("boom")
 
-        scan._scanner = Exploding()
+        service._scanner = Exploding()
         with pytest.raises(RuntimeError):
-            scan.probabilities(np.zeros(16, dtype=np.int32))
+            service.predict_probabilities("6060")
         assert isinstance(waiting.error, EvmGuardError)
-        assert scan.probabilities(np.zeros(16, dtype=np.int32)).shape == (2,)
+        assert service.predict_probabilities("6060").shape == (2,)
+
+    def test_hit_is_answered_while_a_long_row_is_scanned(self, monkeypatch):
+        service, model, vocab = make_service(max_sequence_length=4000)
+        cached = service.predict_probabilities("6060604052")
+        ops = ["6001", "52", "f1", "ff", "54", "55", "00", "0c"]
+        long_contract = "".join(np.random.default_rng(3).choice(ops, size=3000))
+        scanning, answered = threading.Event(), threading.Event()
+        hit_in_time = []
+        advance = mol_net.Scanner.advance
+
+        def held(scanner, stop):
+            if not scanning.is_set():  # hold the long row's first block until the hit is answered
+                scanning.set()
+                hit_in_time.append(answered.wait(timeout=10))
+            return advance(scanner, stop)
+
+        monkeypatch.setattr(mol_net.Scanner, "advance", held)
+        got = []
+        leader = threading.Thread(target=lambda: got.append(service.predict_probabilities(long_contract)))
+        leader.start()
+        try:
+            assert scanning.wait(timeout=10)
+            assert service.predict_probabilities("6060604052") is cached
+        finally:
+            answered.set()
+            leader.join(timeout=60)
+        assert not leader.is_alive()
+        assert hit_in_time == [True]  # the hit did not wait for the scan
+        seq = encode(preprocess(long_contract), vocab, 4000)
+        assert seq.true_length == 3000
+        assert got[0].tobytes() == forward(model, seq.ids[None, :])[0].tobytes()
 
 
 def raw_exchange(port, data, shut_write=False):

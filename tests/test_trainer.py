@@ -193,6 +193,18 @@ class TestTrainErrors:
         with pytest.raises(ConfigError, match="learning_rate"):
             TrainConfig(learning_rate=lr)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("batch_size", 2.5), ("global_epochs", 1.5), ("local_epochs", True), ("seed", 1.5),
+            ("seed", np.int64(1)), ("seed", -1), ("threshold", "x"), ("learning_rate", "x"),
+            ("learning_rate", True),
+        ],
+    )
+    def test_wrong_type_or_negative_seed_is_a_config_error(self, field, value):
+        with pytest.raises(ConfigError):
+            TrainConfig(**{field: value})
+
     def test_label_arity_mismatch(self):
         model, chunks, vocab = small_setup(n_classes=2)
         bad = make_chunks((8,), n_classes=3)
@@ -343,6 +355,12 @@ class TestEvaluate:
         )
         with pytest.raises(ShortageError):
             evaluate(model, empty)
+
+    def test_unknown_branch_is_a_config_error(self):
+        model, _, vocab = small_setup()
+        data = encode_records(make_records(4, n_classes=1, seed=2), vocab, 8)
+        with pytest.raises(ConfigError, match="nope"):
+            evaluate(model, data, 0.5, ["nope"])
 
     def test_deterministic(self):
         model, chunks, vocab = small_setup()
