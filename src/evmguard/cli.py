@@ -119,17 +119,16 @@ def _load_model_and_vocab(model_path, vocab_path):
     return model, vocab
 
 
-def _encoded_from_csv(path, model, vocab) -> tuple[trainer.EncodedSet, list[str]]:
-    catalog = corpus.read_corpus_catalog(path)
-    chunk = corpus.read_chunk(path, catalog)
-    missing = [n for n in catalog.names if n not in model.class_names]
-    if missing:
-        raise ConfigError(f"data has classes the model lacks: {missing!r}")
-    enc = trainer.encode_records(chunk.records, vocab, model.stem.max_sequence_length)
-    return enc, list(catalog.names)
+def _check_out_paths(*paths) -> None:
+    """ConfigError unless each path given names a file in an existing directory, checked before training."""
+    for path in map(Path, filter(None, paths)):
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        if not path.parent.is_dir():
+            raise ConfigError(f"cannot write {path}: {path.parent} is not a directory")
 
 
-def _print_report(report, names) -> None:
+def _print_report(report) -> None:
     for m in report.per_class:
         print(
             f"{m.name}: precision={m.precision:.4f} recall={m.recall:.4f} f1={m.f1:.4f}"
@@ -242,6 +241,7 @@ def _train_and_save(args, config, model, vocab, chunks, catalog, new_branches=No
 
 def _cmd_train(args) -> int:
     config = _train_config(args)
+    _check_out_paths(args.out_model, args.out_vocab, args.history)
     chunks, catalog = _read_chunks_dir(args.chunks_dir)
     vocab = tokenizer.fit(r.tokens for c in chunks for r in c.records)
     stem = mol_net.StemConfig(
@@ -266,6 +266,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_transfer(args) -> int:
     config = _train_config(args)
+    _check_out_paths(args.out_model, args.history)
     model, vocab = _load_model_and_vocab(args.model, args.vocab)
     chunks, new_catalog = _read_chunks_dir(args.chunks_dir)
     configs = [mol_net.BranchConfig(n) for n in new_catalog.names]
@@ -279,9 +280,12 @@ def _cmd_transfer(args) -> int:
 
 def _cmd_eval(args) -> int:
     model, vocab = _load_model_and_vocab(args.model, args.vocab)
-    enc, names = _encoded_from_csv(args.data, model, vocab)
-    report = trainer.evaluate(model, enc, args.threshold, branch_subset=names)
-    _print_report(report, names)
+    catalog = corpus.read_corpus_catalog(args.data)
+    records = corpus.read_chunk(args.data, catalog).records
+    enc = trainer.encode_records(records, vocab, model.stem.max_sequence_length)
+    # evaluate refuses a class the model lacks
+    report = trainer.evaluate(model, enc, args.threshold, branch_subset=list(catalog.names))
+    _print_report(report)
     if args.report:
         metrics.write_report_csv(report, args.report)
     return 0

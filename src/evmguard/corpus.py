@@ -21,6 +21,7 @@ from .errors import (
     MalformedInputError,
     ParseError,
     ShortageError,
+    check_int,
     not_utf8,
 )
 from .evm_bytecode import MAX_CODE_BYTES, Opcodes, parse_cell, render
@@ -161,11 +162,13 @@ def build_balanced(
     by address (a multi-labeled record satisfies several quotas at once).
     Records with empty token sequences are never admitted.
     """
+    check_int("per_class_min", per_class_min, 0)
+    check_int("clean_count", clean_count, 0)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     usable = [r for r in records if r.tokens]
     if not usable:
         raise ShortageError("no records with nonempty sequences")
     n_classes = len(usable[0].labels)
-    rng = np.random.default_rng(seed)
 
     chosen: dict[str, ContractRecord] = {}
     for j in range(n_classes):
@@ -195,10 +198,10 @@ def split(
     Both cuts use floor division; leftovers stay in train. Returns
     (train, validation, test).
     """
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     n = len(corpus)
     if n < 10:
         raise ShortageError(f"need at least 10 records to split, have {n}")
-    rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     shuffled = [corpus[i] for i in order]
     n_test = n * 20 // 100
@@ -216,9 +219,8 @@ def chunk(
     seed: int = 0,
 ) -> list[Chunk]:
     """Seeded shuffle then contiguous slices of chunk_size records."""
-    if chunk_size < 1:
-        raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
-    rng = np.random.default_rng(seed)
+    check_int("chunk_size", chunk_size, 1)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     order = rng.permutation(len(corpus))
     shuffled = [corpus[i] for i in order]
     return [
@@ -410,8 +412,8 @@ class SynthSpec:
             )
         if not self.filler:
             raise ConfigError("filler alphabet must be nonempty")
-        if not 1 <= self.min_length <= self.max_length:
-            raise ConfigError("need 1 <= min_length <= max_length")
+        check_int("min_length", self.min_length, 1, MAX_CODE_BYTES)
+        check_int("max_length", self.max_length, self.min_length, MAX_CODE_BYTES)
         try:
             Opcodes.of([*self.filler, *(tok for motif in self.motifs for tok in motif)])
         except MalformedInputError as exc:
@@ -458,8 +460,7 @@ def default_synth_spec(
     max_length: int = 48,
 ) -> SynthSpec:
     """Ready-made motif recipe over the first n_classes default class names."""
-    if not 1 <= n_classes <= len(_SYNTH_MOTIF_POOL):
-        raise ConfigError(f"n_classes must be in 1..{len(_SYNTH_MOTIF_POOL)}")
+    check_int("n_classes", n_classes, 1, len(_SYNTH_MOTIF_POOL))
     return SynthSpec(
         catalog=ClassCatalog(DEFAULT_CLASS_NAMES[:n_classes]),
         motifs=tuple(pair * 2 for pair in _SYNTH_MOTIF_POOL[:n_classes]),
@@ -493,9 +494,8 @@ def synth_generate(
     for labels, count in counts:
         if len(labels) != k:
             raise ConfigError(f"label vector {labels!r} must have {k} entries")
-        if count < 0:
-            raise ConfigError(f"record count must be >= 0, got {count}")
-    rng = np.random.default_rng(seed)
+        check_int("record count", count, 0)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     records = []
     serial = 0
     for labels, count in counts:

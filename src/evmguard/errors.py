@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the type tests behind ConfigError."""
+"""Exception types shared across the package, and the type and range checks behind ConfigError."""
 
 import numbers
 
@@ -60,3 +60,17 @@ def is_int(value) -> bool:
 def is_real(value) -> bool:
     """A real number that is not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_int(name: str, value, lo: int, hi: int | None = None):
+    """`value` if it is an int (`is_int`) in [lo, hi], or >= lo without hi; else a ConfigError naming `name`.
+
+    Every count, size and seed the package takes goes through here.
+    """
+    if not is_int(value):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    if hi is None and value < lo:
+        raise ConfigError(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and not lo <= value <= hi:
+        raise ConfigError(f"{name} must be in [{lo}, {hi}]")
+    return value

@@ -54,9 +54,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, LoadError, MalformedInputError, UsageError, is_int
+from .errors import ConfigError, LoadError, MalformedInputError, UsageError, check_int, is_int
 from .metrics import PROB_EPS, mean_bce
-from .tokenizer import DEFAULT_MAX_SEQUENCE_LENGTH, VOCAB_SIZE_CEILING, check_sequence_length
+from .tokenizer import DEFAULT_MAX_SEQUENCE_LENGTH, SEQUENCE_LENGTH_CEILING, VOCAB_SIZE_CEILING
 
 DEFAULT_GRU_HIDDEN = 64
 DEFAULT_DROPOUT = 0.2
@@ -86,20 +86,14 @@ class StemConfig:
     max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH
 
     def __post_init__(self):
-        ints = (self.vocab_size, self.embedding_dim, self.gru_hidden, self.max_sequence_length)
-        if not all(is_int(v) for v in ints):
-            raise ConfigError(
-                "vocab_size, embedding_dim, gru_hidden and max_sequence_length must be ints"
-            )
+        check_int("vocab_size", self.vocab_size, 2, VOCAB_SIZE_CEILING)
+        check_int("embedding_dim", self.embedding_dim, 1, MAX_WIDTH)
+        check_int("gru_hidden", self.gru_hidden, 1, MAX_WIDTH)
+        check_int("max_sequence_length", self.max_sequence_length, 1, SEQUENCE_LENGTH_CEILING)
         if not (is_int(self.dropout_rate) or isinstance(self.dropout_rate, float)):
             raise ConfigError("dropout_rate must be an int or a float")  # what a header stores
-        if not 2 <= self.vocab_size <= VOCAB_SIZE_CEILING:
-            raise ConfigError(f"vocab_size must be in [2, {VOCAB_SIZE_CEILING}]")
-        if not (1 <= self.embedding_dim <= MAX_WIDTH and 1 <= self.gru_hidden <= MAX_WIDTH):
-            raise ConfigError(f"embedding_dim and gru_hidden must be in [1, {MAX_WIDTH}]")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
-        check_sequence_length(self.max_sequence_length)
 
 
 @dataclass(frozen=True)
@@ -110,12 +104,12 @@ class BranchConfig:
     def __post_init__(self):
         if not isinstance(self.class_name, str):
             raise ConfigError("class_name must be a string")
-        if not (isinstance(self.dense_widths, tuple) and all(is_int(w) for w in self.dense_widths)):
+        if not isinstance(self.dense_widths, tuple):
             raise ConfigError("dense_widths must be a tuple of ints")
+        for w in self.dense_widths:
+            check_int("dense widths", w, 1, MAX_WIDTH)
         if not self.dense_widths or self.dense_widths[-1] != 1:
             raise ConfigError("branch must end in a single-neuron head")
-        if not all(1 <= w <= MAX_WIDTH for w in self.dense_widths):
-            raise ConfigError(f"dense widths must be in [1, {MAX_WIDTH}]")
 
 
 # Stem sized so its parameter count is exactly 16,000: with six default
@@ -153,6 +147,14 @@ class MolModel:
     @property
     def class_names(self) -> list[str]:
         return [b.class_name for b in self.branches]
+
+    def columns(self, names: list[str]) -> list[int]:
+        """The output column of each named branch, in the order given."""
+        own = self.class_names
+        missing = [n for n in names if n not in own]
+        if missing:
+            raise ConfigError(f"unknown branches {missing!r}")
+        return [own.index(n) for n in names]
 
     def blocks_of_branch(self, class_name: str) -> tuple[str, ...]:
         for b in self.branches:
@@ -207,7 +209,7 @@ def _block_shapes(stem: StemConfig, branches: list[BranchConfig]) -> dict[str, t
 
 def _draw(shapes: dict[str, tuple], seed: int, dtype) -> dict[str, np.ndarray]:
     """Fan-in uniform weights drawn in order from one generator; zero biases."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     params = {}
     for name, shape in shapes.items():
         if len(shape) == 1:
@@ -251,7 +253,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def dropout_mask(shape, rate: float, seed: int, dtype) -> np.ndarray:
     """Inverted-dropout scale mask; a function of (seed, shape) alone."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     keep = rng.random(shape) >= rate
     return keep.astype(dtype) / dtype.type(1.0 - rate)
 
@@ -680,14 +682,7 @@ def backward(
         raise UsageError("backward called with a cache from a different model")
     if cache.h_states is None and not model.stem_frozen():
         raise UsageError("a cache from forward on stem_states cannot train the stem")
-    names = model.class_names
-    if branch_subset is None:
-        selected = list(range(len(names)))
-    else:
-        missing = [n for n in branch_subset if n not in names]
-        if missing:
-            raise ConfigError(f"unknown branches {missing!r}")
-        selected = [names.index(n) for n in branch_subset]
+    selected = model.columns(model.class_names if branch_subset is None else branch_subset)
     y = np.asarray(labels)
     batch = cache.ids.shape[0]
     if y.shape != (batch, len(selected)):
@@ -755,9 +750,10 @@ def backward(
     w_grad = p["embedding"][ids].T @ flat
     b_grad = flat.sum(axis=0)
     dx = flat @ w.T
-    emb_grad = np.empty_like(p["embedding"])
-    for j in range(emb_grad.shape[1]):
-        emb_grad[:, j] = np.bincount(ids, dx[:, j], minlength=emb_grad.shape[0])
+    vocab, width = p["embedding"].shape
+    bins = (ids[:, None] * width + np.arange(width)).reshape(-1)  # (id, column) pairs, row-major
+    emb_grad = np.bincount(bins, dx.reshape(-1), minlength=vocab * width)
+    emb_grad = emb_grad.reshape(vocab, width).astype(dtype)
     u_zr_grad = h_prev.T @ flat[:, : 2 * h]
     stem_grads = {"embedding": emb_grad, "gru/uc": (r * h_prev).T @ flat[:, 2 * h :]}
     for i, g in enumerate(_GATES):

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, not_utf8
+from .errors import ConfigError, ParseError, check_int, not_utf8
 from .evm_bytecode import MAX_CODE_BYTES, TOKENS, Opcodes
 
 PAD_TOKEN = "<PAD>"
@@ -89,19 +89,13 @@ def fit(corpus: Iterable[Sequence[str]]) -> Vocabulary:
     return Vocabulary(mapping)
 
 
-def check_sequence_length(max_sequence_length: int) -> None:
-    """ConfigError unless 1 <= max_sequence_length <= SEQUENCE_LENGTH_CEILING."""
-    if not 1 <= max_sequence_length <= SEQUENCE_LENGTH_CEILING:
-        raise ConfigError(f"max_sequence_length must be in [1, {SEQUENCE_LENGTH_CEILING}]")
-
-
 def encode(
     tokens: Sequence[str],
     vocab: Vocabulary,
     max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH,
 ) -> TokenSequence:
     """Map tokens to ids (OOV_ID for a cell token the vocabulary lacks), truncate at the tail, right-pad with 0."""
-    check_sequence_length(max_sequence_length)
+    check_int("max_sequence_length", max_sequence_length, 1, SEQUENCE_LENGTH_CEILING)
     kept = Opcodes.of(tokens).codes[:max_sequence_length]
     ids = np.zeros(max_sequence_length, dtype=np.int32)
     vocab.code_ids.take(kept, out=ids[: kept.size])
@@ -114,7 +108,7 @@ def encode_batch(
     max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH,
 ) -> np.ndarray:
     """Encode many token sequences into one (batch, max_sequence_length) id matrix."""
-    check_sequence_length(max_sequence_length)
+    check_int("max_sequence_length", max_sequence_length, 1, SEQUENCE_LENGTH_CEILING)
     sequences = list(sequences)
     ids = np.empty((len(sequences), max_sequence_length), dtype=np.int32)
     for row, seq in zip(ids, sequences):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import metrics, mol_net
 from .corpus import Chunk, ContractRecord
-from .errors import ConfigError, ShortageError, is_int, is_real
+from .errors import ConfigError, ShortageError, check_int, is_real
 from .mol_net import AdamState, MolModel
 from .tokenizer import Vocabulary, encode_batch
 
@@ -46,15 +46,12 @@ class TrainConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
-        ints = (self.global_epochs, self.local_epochs, self.batch_size, self.seed)
-        if not all(is_int(v) for v in ints):
-            raise ConfigError("epoch and batch counts and the seed must be ints")
+        check_int("global_epochs", self.global_epochs, 1)
+        check_int("local_epochs", self.local_epochs, 1)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("seed", self.seed, 0)  # numpy's generators take no negative seed
         if not (is_real(self.learning_rate) and is_real(self.threshold)):
             raise ConfigError("learning_rate and threshold must be real numbers")
-        if min(self.global_epochs, self.local_epochs, self.batch_size) < 1:
-            raise ConfigError("epoch and batch counts must be >= 1")
-        if self.seed < 0:  # numpy's generators take no negative seed
-            raise ConfigError("seed must be >= 0")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must be strictly between 0 and 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
@@ -155,7 +152,7 @@ def _run_loop(
             model.set_branch_frozen(name, True)
         for i, bc in enumerate(new_branches):
             mol_net.add_branch(model, bc, seed=config.seed + 1 + i)
-    cols = [model.class_names.index(n) for n in names]
+    cols = model.columns(names)
     # None unless the stem is frozen; it then stays so for the whole loop
     stems = [_frozen_stem_states(model, enc.ids, config.batch_size, "train") for _, enc in encoded]
     val_stems = None
@@ -239,13 +236,10 @@ def evaluate(
 
     `stem_states` is as in `predict_probs`.
     """
+    names = branch_subset if branch_subset else model.class_names
+    cols = model.columns(names)
     if len(data) == 0:
         raise ShortageError("cannot evaluate an empty split")
-    names = branch_subset if branch_subset else model.class_names
-    unknown = [n for n in names if n not in model.class_names]
-    if unknown:
-        raise ConfigError(f"unknown branches {unknown!r}")
-    cols = [model.class_names.index(n) for n in names]
     if data.labels.shape[1] != len(cols):
         raise ConfigError(
             f"labels have {data.labels.shape[1]} columns, expected {len(cols)}"
