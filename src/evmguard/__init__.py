@@ -5,137 +5,10 @@ verdicts into labels, build a chunked corpus, train a shared-stem
 multi-branch GRU classifier with hand-written backpropagation, extend it
 to new vulnerability classes by freezing everything but fresh branches,
 and serve predictions over HTTP with a byte-stable response format.
+
+The package re-exports nothing: import the module that holds a name,
+e.g. `from evmguard import corpus, trainer`, so a process loads only the
+modules it calls.
 """
 
-from .corpus import (
-    Chunk,
-    ClassCatalog,
-    ContractRecord,
-    DetectorReport,
-    SynthSpec,
-    ToolProfile,
-    arbitrate_labels,
-    build_balanced,
-    chunk,
-    default_catalog,
-    default_synth_spec,
-    read_chunk,
-    split,
-    synth_generate,
-    write_chunk,
-)
-from .errors import (
-    ConfigError,
-    CoverageError,
-    EvmGuardError,
-    LoadError,
-    MalformedInputError,
-    ParseError,
-    ShortageError,
-    UsageError,
-)
-from .evm_bytecode import (
-    Opcodes,
-    default_table,
-    disassemble,
-    normalize,
-    opcodes,
-    parse_hex,
-    preprocess,
-    render,
-)
-from .metrics import MetricsReport, evaluate as evaluate_predictions
-from .mol_net import (
-    AdamState,
-    BranchConfig,
-    MolModel,
-    StemConfig,
-    adam_step,
-    add_branch,
-    backward,
-    bce_loss,
-    branch_param_count,
-    forward,
-    init_model,
-    load_model,
-    param_count,
-    save_model,
-    stem_param_count,
-)
-from .service import PredictionService
-from .tokenizer import Vocabulary, encode, fit, load_vocab, save_vocab
-from .trainer import (
-    EncodedSet,
-    MetricsHistory,
-    TrainConfig,
-    encode_records,
-    evaluate,
-    train,
-    transfer_train,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdamState",
-    "BranchConfig",
-    "Chunk",
-    "ClassCatalog",
-    "ConfigError",
-    "ContractRecord",
-    "CoverageError",
-    "DetectorReport",
-    "EncodedSet",
-    "EvmGuardError",
-    "LoadError",
-    "MalformedInputError",
-    "MetricsHistory",
-    "MetricsReport",
-    "MolModel",
-    "Opcodes",
-    "ParseError",
-    "PredictionService",
-    "ShortageError",
-    "StemConfig",
-    "SynthSpec",
-    "ToolProfile",
-    "TrainConfig",
-    "UsageError",
-    "Vocabulary",
-    "adam_step",
-    "add_branch",
-    "arbitrate_labels",
-    "backward",
-    "bce_loss",
-    "branch_param_count",
-    "build_balanced",
-    "chunk",
-    "default_catalog",
-    "default_synth_spec",
-    "default_table",
-    "disassemble",
-    "encode",
-    "encode_records",
-    "evaluate",
-    "evaluate_predictions",
-    "fit",
-    "forward",
-    "init_model",
-    "load_model",
-    "load_vocab",
-    "normalize",
-    "opcodes",
-    "param_count",
-    "parse_hex",
-    "preprocess",
-    "read_chunk",
-    "render",
-    "save_model",
-    "save_vocab",
-    "split",
-    "stem_param_count",
-    "synth_generate",
-    "train",
-    "transfer_train",
-    "write_chunk",
-]

@@ -4,6 +4,9 @@ Subcommands cover preprocessing, synthetic corpus generation, label
 arbitration, chunking, training, transfer, evaluation, serving, and
 single-contract prediction. Each one reads and writes the flat file
 formats owned by the library modules, so every artifact is inspectable.
+
+A flag whose callee has a default is passed on only when given, so that
+default lives once, in the library.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from .evm_bytecode import opcodes as preprocess, render
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=trainer.DEFAULT_BATCH_SIZE)
-    p.add_argument("--lr", type=float, default=trainer.DEFAULT_LEARNING_RATE)
-    p.add_argument("--global-epochs", type=int, default=1)
-    p.add_argument("--local-epochs", type=int, default=1)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--lr", dest="learning_rate", type=float)
+    p.add_argument("--global-epochs", type=int)
+    p.add_argument("--local-epochs", type=int)
+    p.add_argument("--threshold", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,10 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a seeded synthetic labeled corpus")
     p.add_argument("--out", required=True, help="corpus CSV to write")
-    p.add_argument("--classes", type=int, default=3)
+    p.add_argument("--classes", dest="n_classes", type=int)
     p.add_argument("--per-combo", type=int, default=120)
-    p.add_argument("--min-len", type=int, default=24)
-    p.add_argument("--max-len", type=int, default=48)
+    p.add_argument("--min-len", dest="min_length", type=int)
+    p.add_argument("--max-len", dest="max_length", type=int)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("label", help="arbitrate detector reports into a labeled corpus")
@@ -55,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chunk", help="split a corpus and slice the train part into chunks")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--chunk-size", type=int, default=corpus.DEFAULT_CHUNK_SIZE)
+    p.add_argument("--chunk-size", type=int)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("train", help="train a fresh model over chunk files")
@@ -64,10 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-vocab", required=True)
     p.add_argument("--history", help="write a training history CSV here")
-    p.add_argument("--max-seq-len", type=int, default=tokenizer.DEFAULT_MAX_SEQUENCE_LENGTH)
+    p.add_argument("--max-seq-len", dest="max_sequence_length", type=int)
     p.add_argument("--embedding-dim", type=int, default=16)
-    p.add_argument("--gru-hidden", type=int, default=mol_net.DEFAULT_GRU_HIDDEN)
-    p.add_argument("--dropout", type=float, default=mol_net.DEFAULT_DROPOUT)
+    p.add_argument("--gru-hidden", type=int)
+    p.add_argument("--dropout", dest="dropout_rate", type=float)
     _add_train_flags(p)
 
     p = sub.add_parser("transfer", help="add branches for new classes and train only them")
@@ -84,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--report", help="write the per-class metrics CSV here")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float)
 
     p = sub.add_parser("serve", help="run the HTTP prediction service")
     p.add_argument("--model", required=True)
@@ -100,6 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true", help="full-precision probabilities")
 
     return parser
+
+
+def _given(args, *names) -> dict:
+    """The named flags that were given, as keyword arguments; an omitted one keeps the callee's default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _read_chunks_dir(chunks_dir: str) -> tuple[list[corpus.Chunk], corpus.ClassCatalog]:
@@ -150,9 +158,9 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = corpus.default_synth_spec(args.classes, args.min_len, args.max_len)
+    spec = corpus.default_synth_spec(**_given(args, "n_classes", "min_length", "max_length"))
     records = corpus.synth_generate(
-        spec, corpus.all_label_combos(args.classes, args.per_combo), args.seed
+        spec, corpus.all_label_combos(len(spec.catalog.names), args.per_combo), args.seed
     )
     corpus.write_chunk(
         corpus.Chunk(index=0, records=tuple(records)), args.out, spec.catalog
@@ -200,7 +208,7 @@ def _cmd_chunk(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, recs in (("validation.csv", val_recs), ("test.csv", test_recs)):
         corpus.write_chunk(corpus.Chunk(index=0, records=tuple(recs)), out_dir / name, catalog)
-    chunks = corpus.chunk(train_recs, args.chunk_size, args.seed)
+    chunks = corpus.chunk(train_recs, **_given(args, "chunk_size"), seed=args.seed)
     for c in chunks:
         corpus.write_chunk(c, out_dir / f"chunk_{c.index:04d}.csv", catalog)
     print(
@@ -211,14 +219,9 @@ def _cmd_chunk(args) -> int:
 
 
 def _train_config(args) -> trainer.TrainConfig:
-    return trainer.TrainConfig(
-        global_epochs=args.global_epochs,
-        local_epochs=args.local_epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        seed=args.seed,
-        threshold=args.threshold,
-    )
+    return trainer.TrainConfig(**_given(
+        args, "global_epochs", "local_epochs", "batch_size", "learning_rate", "seed", "threshold"
+    ))
 
 
 def _train_and_save(args, config, model, vocab, chunks, catalog, new_branches=None):
@@ -247,12 +250,10 @@ def _cmd_train(args) -> int:
     stem = mol_net.StemConfig(
         vocab_size=len(vocab),
         embedding_dim=args.embedding_dim,
-        gru_hidden=args.gru_hidden,
-        dropout_rate=args.dropout,
-        max_sequence_length=args.max_seq_len,
+        **_given(args, "gru_hidden", "dropout_rate", "max_sequence_length"),
     )
     model = mol_net.init_model(
-        stem, [mol_net.BranchConfig(n) for n in catalog.names], seed=args.seed
+        stem, [mol_net.BranchConfig(n) for n in catalog.names], seed=config.seed
     )
     history = _train_and_save(args, config, model, vocab, chunks, catalog)
     tokenizer.save_vocab(vocab, args.out_vocab)
@@ -284,7 +285,7 @@ def _cmd_eval(args) -> int:
     records = corpus.read_chunk(args.data, catalog).records
     enc = trainer.encode_records(records, vocab, model.stem.max_sequence_length)
     # evaluate refuses a class the model lacks
-    report = trainer.evaluate(model, enc, args.threshold, branch_subset=list(catalog.names))
+    report = trainer.evaluate(model, enc, **_given(args, "threshold"), branch_subset=list(catalog.names))
     _print_report(report)
     if args.report:
         metrics.write_report_csv(report, args.report)

@@ -59,7 +59,6 @@ from .metrics import PROB_EPS, mean_bce
 from .tokenizer import DEFAULT_MAX_SEQUENCE_LENGTH, SEQUENCE_LENGTH_CEILING, VOCAB_SIZE_CEILING
 
 DEFAULT_GRU_HIDDEN = 64
-DEFAULT_DROPOUT = 0.2
 DEFAULT_DENSE_WIDTHS = (128, 64, 1)
 # The widest embedding, GRU state or dense layer: a (MAX_WIDTH, MAX_WIDTH) block is 64 MB.
 MAX_WIDTH = 4096
@@ -82,7 +81,7 @@ class StemConfig:
     vocab_size: int
     embedding_dim: int
     gru_hidden: int = DEFAULT_GRU_HIDDEN
-    dropout_rate: float = DEFAULT_DROPOUT
+    dropout_rate: float = 0.2
     max_sequence_length: int = DEFAULT_MAX_SEQUENCE_LENGTH
 
     def __post_init__(self):

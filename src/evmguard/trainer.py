@@ -31,8 +31,6 @@ from .errors import ConfigError, ShortageError, check_int, is_real
 from .mol_net import AdamState, MolModel
 from .tokenizer import Vocabulary, encode_batch
 
-DEFAULT_BATCH_SIZE = 32
-DEFAULT_LEARNING_RATE = 0.001
 EVAL_BATCH_SIZE = 256
 
 
@@ -40,8 +38,8 @@ EVAL_BATCH_SIZE = 256
 class TrainConfig:
     global_epochs: int = 1
     local_epochs: int = 1
-    batch_size: int = DEFAULT_BATCH_SIZE
-    learning_rate: float = DEFAULT_LEARNING_RATE
+    batch_size: int = 32
+    learning_rate: float = 0.001
     seed: int = 0
     threshold: float = 0.5
 
@@ -50,12 +48,15 @@ class TrainConfig:
         check_int("local_epochs", self.local_epochs, 1)
         check_int("batch_size", self.batch_size, 1)
         check_int("seed", self.seed, 0)  # numpy's generators take no negative seed
-        if not (is_real(self.learning_rate) and is_real(self.threshold)):
-            raise ConfigError("learning_rate and threshold must be real numbers")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError("threshold must be strictly between 0 and 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+        _check_threshold(self.threshold)
+        if not (is_real(self.learning_rate) and math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ConfigError("learning_rate must be finite and positive")
+
+
+def _check_threshold(threshold) -> None:
+    """ConfigError unless `threshold` is a real number strictly between 0 and 1 (NaN is not)."""
+    if not (is_real(threshold) and 0.0 < threshold < 1.0):
+        raise ConfigError(f"threshold must be a real number strictly between 0 and 1, got {threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -234,9 +235,13 @@ def evaluate(
 ) -> metrics.MetricsReport:
     """Eval-mode forward, binarize at p >= threshold, full metrics report.
 
+    `branch_subset` None scores every class; an empty one is refused.
     `stem_states` is as in `predict_probs`.
     """
-    names = branch_subset if branch_subset else model.class_names
+    _check_threshold(threshold)
+    if branch_subset is not None and not branch_subset:
+        raise ConfigError("branch_subset must name at least one class (None scores every class)")
+    names = model.class_names if branch_subset is None else branch_subset
     cols = model.columns(names)
     if len(data) == 0:
         raise ShortageError("cannot evaluate an empty split")

@@ -262,3 +262,26 @@ def test_every_invocation_exits_0_or_one_error_line_or_usage(fx, command):
             assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
 
     run()
+
+
+@pytest.mark.parametrize(
+    "param, value",
+    [("threshold", v) for v in (float("nan"), float("inf"), 5.0, -1.0, 0.0, 1.0)] + [("branch_subset", [])],
+    ids=lambda v: repr(v) if not isinstance(v, str) else None,
+)
+def test_evaluate_refuses_a_threshold_outside_0_1_and_an_empty_branch_subset(fx, param, value):
+    model, vocab = mol_net.load_model(fx["model"]), tokenizer.load_vocab(fx["vocab"])
+    records = corpus.read_chunk(fx["val"]).records
+    enc = trainer.encode_records(records, vocab, model.stem.max_sequence_length)
+    with pytest.raises(ConfigError, match=f"^{param} must"):
+        trainer.evaluate(model, enc, **{param: value})
+
+    if param == "threshold":
+        data, extra = fx["val"], ["--threshold", value]
+    else:  # a data file naming no class
+        data, extra = fx["out"] / "no_classes.csv", []
+        data.write_text("address,bytecode\n0xaa,60 01\n")
+    report = fx["out"] / "refused_report.csv"
+    rc, err = cli(["eval", "--model", fx["model"], "--vocab", fx["vocab"], "--data", data, "--report", report, *extra])
+    assert (rc, len(err)) == (1, 1) and err[0].startswith("error: "), err
+    assert not report.exists()

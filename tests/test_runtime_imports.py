@@ -1,8 +1,9 @@
 """The runtime is numpy and the standard library, and no HTTP client, mail or TLS code.
 
 The import runs in a child process, and only the modules it adds count:
-a site hook may load other packages before any program code runs. No
-module under src/evmguard imports a name it never uses.
+a site hook may load other packages before any program code runs. The
+package imports no submodule, and a submodule loads only what it imports.
+No module under src/evmguard imports a name it never uses.
 """
 
 import ast
@@ -75,3 +76,24 @@ def test_unused_import_finder():
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "evmguard").glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def program_modules_added(statement: str) -> set[str]:
+    """The evmguard modules a child process adds while it runs `statement`."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = LIST_NEW_MODULES.replace("import evmguard.cli", statement)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {name for name in json.loads(proc.stdout.splitlines()[-1]) if name.partition(".")[0] == "evmguard"}
+
+
+def test_the_package_imports_no_submodule():
+    assert program_modules_added("import evmguard") == {"evmguard"}
+
+
+def test_a_submodule_loads_only_what_it_imports():
+    assert program_modules_added("from evmguard import tokenizer") == {
+        "evmguard", "evmguard.errors", "evmguard.evm_bytecode", "evmguard.tokenizer",
+    }
